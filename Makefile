@@ -2,8 +2,8 @@
 
 # The engine microbenchmark suite committed as the bench trajectory.
 # Serial benchmarks run at the host's default GOMAXPROCS; the
-# mode-comparison benchmarks (bounded-lag windows and the speculative
-# executor, flood + doubling BFS) additionally sweep -cpu so the committed
+# mode-comparison benchmarks (serial vs bounded-lag windows, flood +
+# doubling BFS) additionally sweep -cpu so the committed
 # document carries the worker-scaling curves. On a single-core host the
 # sweep rows beyond -cpu 1 measure oversubscribed coordination overhead —
 # still useful as the floor of the multicore trajectory, which the CI

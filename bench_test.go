@@ -58,8 +58,4 @@ func BenchmarkE14AsyncEngineThroughput(b *testing.B) {
 	runExperiment(b, bench.E14AsyncEngineThroughput)
 }
 
-func BenchmarkE15SpeculativeExecution(b *testing.B) {
-	runExperiment(b, bench.E15SpeculativeExecution)
-}
-
 func BenchmarkE16Footprint(b *testing.B) { runExperiment(b, bench.E16Footprint) }

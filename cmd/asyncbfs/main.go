@@ -59,7 +59,7 @@ func run() int {
 		cols    = flag.Int("cols", 6, "grid cols")
 		seed    = flag.Uint64("seed", 1, "delay adversary seed")
 		sources = flag.String("sources", "0", "comma-separated source IDs")
-		mode    = flag.String("mode", "auto", "async engine execution mode: auto|single|multi|spec")
+		mode    = flag.String("mode", "auto", "async engine execution mode: auto|single|multi")
 		quiet   = flag.Bool("quiet", false, "suppress per-node output")
 		shards  = flag.Int("shards", 0, "run multi-source BFS on K sharded worker processes instead of the synchronizer stack (0 = off)")
 		faults  = flag.String("faults", "", "fault schedule (e.g. drop:p=0.05,budget=3,seed=7); empty = fault-free")
@@ -76,13 +76,8 @@ func run() int {
 		execMode = dsync.AsyncModeSingle
 	case "multi":
 		execMode = dsync.AsyncModeMulti
-	case "spec":
-		// The synchronizer stack's state codecs double as its StateCloner,
-		// so this runs genuinely speculatively (no fallback; the regression
-		// test on SpecStats().FellBack pins it).
-		execMode = dsync.AsyncModeSpec
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q (want auto|single|multi|spec)\n", *mode)
+		fmt.Fprintf(os.Stderr, "unknown mode %q (want auto|single|multi)\n", *mode)
 		return 2
 	}
 	g, err := buildGraph(*kind, *n, *m, *rows, *cols, *seed)

@@ -25,7 +25,7 @@ type Benchmark struct {
 	// Name is the benchmark name without the -GOMAXPROCS suffix.
 	Name string `json:"name"`
 	// Mode is the engine execution mode inferred from the name ("single",
-	// "multi", "spec", "shard", or "default" when the name carries none);
+	// "multi", "shard", or "default" when the name carries none);
 	// the last sub-benchmark path segment takes precedence over substring
 	// matches, and a "shard"/"shards=K" segment anywhere in the path marks
 	// a multi-process run.
@@ -153,16 +153,15 @@ func parseLine(line string) (Benchmark, bool) {
 // inferMode maps a benchmark name to the engine execution mode it ran,
 // plus the shard count for multi-process runs. The final sub-benchmark
 // path segment wins when it names a mode exactly —
-// BenchmarkSimFloodRandomModes/single must not be misread as "spec" just
-// because the parent name mentions a mode. A "shard" or "shards=K"
+// BenchmarkSimFloodRandomModes/single must not be misread as "multi" just
+// because the parent name mentions modes. A "shard" or "shards=K"
 // segment anywhere in the path marks a sharded run; it is checked before
-// the whole-name substring fallback so BenchmarkShardSweep/spec=…/shards=2
-// is not misread as "spec". Only then does the older whole-name substring
-// match apply.
+// the whole-name substring fallback. Only then does the older whole-name
+// substring match apply.
 func inferMode(name string) (string, int) {
 	if i := strings.LastIndex(name, "/"); i >= 0 {
 		switch seg := strings.ToLower(name[i+1:]); seg {
-		case "single", "multi", "spec":
+		case "single", "multi":
 			return seg, 0
 		}
 	}
@@ -178,8 +177,6 @@ func inferMode(name string) (string, int) {
 	}
 	lower := strings.ToLower(name)
 	switch {
-	case strings.Contains(lower, "spec"):
-		return "spec", 0
 	case strings.Contains(lower, "multi"):
 		return "multi", 0
 	case strings.Contains(lower, "single"):

@@ -8,15 +8,16 @@ func TestInferMode(t *testing.T) {
 		mode   string
 		shards int
 	}{
-		// The exact last-segment rule from the single/multi/spec era: a
-		// parent name that mentions a mode must not override the segment.
+		// The exact last-segment rule: a parent name that mentions a mode
+		// must not override the segment.
 		{"BenchmarkSimFloodRandomModes/single", "single", 0},
 		{"BenchmarkSimFloodRandomModes/multi", "multi", 0},
-		{"BenchmarkSimFloodSpec/spec", "spec", 0},
-		{"BenchmarkFromSpecGrid3D", "spec", 0},
+		{"BenchmarkMultiSourceBFS/single", "single", 0},
+		// "spec" is no mode: a graph-spec label in the name stays default.
+		{"BenchmarkFromSpecGrid3D", "default", 0},
 		{"BenchmarkSimFlood", "default", 0},
-		// The sharded runs: a shards=K segment anywhere in the path wins
-		// over the "spec" substring that the graph-spec label drags in.
+		// The sharded runs: a shards=K segment anywhere in the path marks
+		// the run, whatever the graph-spec label before it says.
 		{"BenchmarkShardSweep/spec=grid3d:100x100x100/shards=1", "shard", 1},
 		{"BenchmarkShardSweep/spec=grid3d:100x100x100/shards=8", "shard", 8},
 		{"BenchmarkShardSweep/spec=pa:n=1000,m=2,seed=3/shards=2", "shard", 2},

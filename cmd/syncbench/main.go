@@ -3,7 +3,7 @@
 // Usage:
 //
 //	syncbench                      # run every experiment
-//	syncbench -exp E5              # run one experiment (E1..E18)
+//	syncbench -exp E5              # run one experiment (E1..E18, no E15)
 //	syncbench -exp E2,E3,E4        # run a subset, in the given order
 //	syncbench -list                # list experiment ids and titles
 //	syncbench -parallel 8          # run independent trials on 8 workers
@@ -23,11 +23,8 @@
 // reproduce the published tables; any other value sweeps every seeded
 // adversary, matching what cmd/synchronize's -seed flag does there.
 // -mode selects the execution mode of BOTH engines: the lockstep runner's
-// worker pool and the async engine's bounded-lag parallel windows (E13,
-// E14, and E15 compare the modes explicitly and ignore it). -mode spec
-// forces the async engine's speculative executor (the lockstep runner,
-// which has no safe window to speculate past, keeps its Auto pool); spec
-// runs fall back to multi wherever handlers are not cloneable.
+// worker pool and the async engine's bounded-lag parallel windows (E13
+// and E14 compare the modes explicitly and ignore it).
 //
 // -graph takes a graph.FromSpec string (grid3d:XxYxZ, pa:n=…,m=…,
 // ring:k=…,c=…, and the classic families) and appends it as an extra row
@@ -64,12 +61,12 @@ func main() {
 }
 
 func run() int {
-	exp := flag.String("exp", "", "comma-separated experiment ids (E1..E18); empty = all")
+	exp := flag.String("exp", "", "comma-separated experiment ids (E1..E18, no E15); empty = all")
 	parallel := flag.Int("parallel", 1, "worker-pool size for independent trials (1 = serial)")
 	jsonOut := flag.Bool("json", false, "emit structured JSON records instead of text tables")
 	list := flag.Bool("list", false, "list experiment ids and titles, then exit")
 	seed := flag.Uint64("seed", 0, "delay adversary seed; 0 keeps each experiment's default")
-	mode := flag.String("mode", "auto", "execution mode for both engines: auto|single|multi|spec")
+	mode := flag.String("mode", "auto", "execution mode for both engines: auto|single|multi")
 	graphSpec := flag.String("graph", "", "extra topology for E13/E14/E16, as a graph spec (e.g. grid3d:100x100x100)")
 	shards := flag.Int("shards", 0, "add E14 rows running the multi-process shard protocol with K workers (0 = off; 1 = degenerate single-shard run, byte-identical)")
 	faults := flag.String("faults", "", "fault schedule wrapped around every adversary (e.g. crash:p=0.01,drop:p=0.05,budget=3,seed=7); empty = fault-free")
@@ -91,13 +88,8 @@ func run() int {
 		execMode, asyncMode = syncrun.ModeSingle, async.ModeSingle
 	case "multi":
 		execMode, asyncMode = syncrun.ModeMulti, async.ModeMulti
-	case "spec":
-		// Speculation is an async-engine concept; the lockstep runner has no
-		// windows to speculate past, so it gets its Auto pool. The async
-		// engine itself falls back to multi for non-cloneable handlers.
-		execMode, asyncMode = syncrun.ModeAuto, async.ModeSpec
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q (want auto|single|multi|spec)\n", *mode)
+		fmt.Fprintf(os.Stderr, "unknown mode %q (want auto|single|multi)\n", *mode)
 		return 2
 	}
 	var ids []string

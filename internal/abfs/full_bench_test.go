@@ -27,17 +27,11 @@ func BenchmarkFullBFS(b *testing.B) {
 }
 
 // BenchmarkFullBFSModes runs the same doubling BFS once per engine
-// execution mode on a larger grid. The synchronizer stack's handlers do
-// not implement async.StateCloner yet, so the spec rows measure the
-// forced-spec path falling back to the bounded-lag executor — identical
-// results, and honest numbers for what `-mode spec` costs on this workload
-// today (see ROADMAP for making the Mux stack cloneable).
+// execution mode on a larger grid.
 func BenchmarkFullBFSModes(b *testing.B) {
 	g := graph.Grid(16, 24)
 	core.BuildLayeredFor(g, 100)
-	for _, mode := range []async.ExecutionMode{
-		async.ModeSingle, async.ModeMulti, async.ModeSpec,
-	} {
+	for _, mode := range []async.ExecutionMode{async.ModeSingle, async.ModeMulti} {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -54,40 +54,11 @@ type Handler interface {
 	Ack(n *Node, to graph.NodeID, m Msg)
 }
 
-// StateCloner is the opt-in contract for speculative execution (ModeSpec).
-// A handler that implements it can be run optimistically past the safe
-// window: each round the engine copies its state into a clone, lets the
-// clone execute events whose order is not yet certain, and either promotes
-// the clone at the round barrier or discards it and repairs from the
-// committed original. Handlers that do not implement StateCloner silently
-// fall back to the conservative bounded-lag executor (Result.SpecStats
-// reports the fallback), so opting in is purely a performance feature.
-//
-// CloneStateInto must copy the receiver's complete mutable state into dst.
-// dst is always a handler built by the same mk function for the same node,
-// so implementations may type-assert it; per-node immutable configuration
-// set by mk is already present in dst (copying it again is harmless). The
-// copy should reuse dst's existing capacity (maps via clear-and-refill,
-// slices via truncate-and-append): the engine ping-pongs two instances per
-// node across rounds, so a capacity-reusing copy makes steady-state
-// speculation allocation-free.
-//
-// Two sharp edges:
-//
-//   - Embedding: a handler that embeds another handler type inherits its
-//     CloneStateInto via method promotion, which copies only the embedded
-//     part — and its dst type assertion will fail loudly at the outer type.
-//     Wrapper handlers must implement CloneStateInto themselves.
-//   - Arena segments: a handler that retains arena segments across events
-//     should not opt in — a discarded clone's unsent segments are not
-//     released until the next Sim.Reset.
-//
-// The engine may call mk (to build clone targets, at most once per node)
-// and CloneStateInto concurrently for different nodes.
+// StateCloner is a retained shim: nothing in the engine consults it since
+// the speculative executor that cloned handlers through it was removed.
+// It survives only because perfbench still type-asserts it.
 type StateCloner interface {
 	Handler
-	// CloneStateInto copies the receiver's mutable state into dst, reusing
-	// dst's capacity where possible.
 	CloneStateInto(dst Handler)
 }
 
@@ -105,28 +76,21 @@ type Node struct {
 	// ctxIdx routes the node's effects: ctxDirect is the engine's direct
 	// context (ModeSingle and merges), k > 0 is worker context wctx[k-1]
 	// (exactly one worker owns a node inside a window, so the index is
-	// stable for the window's duration), ctxSwallow is the speculative
-	// straddle-repair context. An index instead of a pointer keeps Node at
-	// 16 bytes — the engine holds one Node per simulated node.
+	// stable for the window's duration). An index instead of a pointer
+	// keeps Node at 16 bytes — the engine holds one Node per simulated node.
 	ctxIdx int32
 	sim    *Sim
 }
 
-// Context-index values for Node.ctxIdx.
-const (
-	ctxDirect  int32 = 0
-	ctxSwallow int32 = -1
-)
+// ctxDirect is the Node.ctxIdx value of the direct context.
+const ctxDirect int32 = 0
 
 // ctx resolves the node's execution context.
 func (n *Node) ctx() *execCtx {
 	if n.ctxIdx == ctxDirect {
 		return &n.sim.direct
 	}
-	if n.ctxIdx > 0 {
-		return &n.sim.wctx[n.ctxIdx-1]
-	}
-	return &n.sim.swallowCtx
+	return &n.sim.wctx[n.ctxIdx-1]
 }
 
 // ID returns this node's identifier.
@@ -158,11 +122,8 @@ func (n *Node) Output(v any) { n.ctx().setOutput(n.id, v) }
 // decoder, so Result materialization can produce the user-facing value.
 func (n *Node) OutputBody(b wire.Body) { n.ctx().setOutputBody(n.id, b) }
 
-// HasOutput reports whether this node has already produced output. The
-// answer is routed through the node's execution context: a speculative
-// round sees its own not-yet-committed Output calls, exactly as the serial
-// engine would at the same point in the event order.
-func (n *Node) HasOutput() bool { return n.ctx().hasOutput(n.id) }
+// HasOutput reports whether this node has already produced output.
+func (n *Node) HasOutput() bool { return n.sim.hasOut[n.sim.li(n.id)] }
 
 // NeighborIndex returns the position of `to` in this node's neighbor list,
 // or -1 if `to` is not a neighbor. Dense per-neighbor state (CONGEST

@@ -37,8 +37,6 @@ func (h *benchFlood) Recv(n *Node, from graph.NodeID, m Msg) {
 	n.Output(0)
 }
 
-func (h *benchFlood) CloneStateInto(dst Handler) { dst.(*benchFlood).seen = h.seen }
-
 // BenchmarkSimFlood measures the full simulator hot path — send, outbox,
 // event push/pop, deliver, ack — via a flood broadcast. The interesting
 // number is allocs/op divided by the ~4m simulated events per iteration.
@@ -82,7 +80,7 @@ func BenchmarkSimFloodParallel(b *testing.B) {
 	g := graph.Grid(60, 60)
 	adv := Fixed{D: 1}
 	mk := func(graph.NodeID) Handler { return &benchFlood{} }
-	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti, ModeSpec} {
+	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti} {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -97,18 +95,15 @@ func BenchmarkSimFloodParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSimFloodRandomModes is the adversary regime the speculative
-// executor exists for: SeededRandom's MinDelay is 2^-20, so the bounded-lag
-// safe window almost never holds more than one event and ModeMulti
-// degenerates to barrier overhead, while ModeSpec drains whole horizons
-// optimistically and pays for the occasional rollback instead. On one core
-// every parallel row is pure overhead; the -cpu sweep in `make bench` is
-// where the spec-over-single crossover appears.
+// BenchmarkSimFloodRandomModes is the tiny-lookahead regime:
+// SeededRandom's MinDelay is 2^-20, so the bounded-lag safe window almost
+// never holds more than one event and ModeMulti stays on its inline
+// staging path. The multi row prices that staging against ModeSingle.
 func BenchmarkSimFloodRandomModes(b *testing.B) {
 	g := graph.Grid(60, 60)
 	adv := SeededRandom{Seed: 7}
 	mk := func(graph.NodeID) Handler { return &benchFlood{} }
-	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti, ModeSpec} {
+	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti} {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -312,9 +312,9 @@ func ParseFaultSpec(spec string) (*FaultSchedule, error) {
 }
 
 // Faulty wraps any delay adversary with a fault schedule. Delays — and the
-// MinDelay lookahead the bounded-lag and speculative executors build
-// windows from — pass through unchanged; the engine unwraps the schedule
-// at New/Reset and consults it at dispatch, once per transmission attempt.
+// MinDelay lookahead the bounded-lag executor builds windows from — pass
+// through unchanged; the engine unwraps the schedule at New/Reset and
+// consults it at dispatch, once per transmission attempt.
 type Faulty struct {
 	Inner    Adversary
 	Schedule *FaultSchedule

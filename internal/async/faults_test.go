@@ -50,11 +50,6 @@ func (h *segSpray) Recv(n *Node, from graph.NodeID, m Msg) {
 	}
 }
 
-func (h *segSpray) CloneStateInto(dst Handler) {
-	d := dst.(*segSpray)
-	d.sent, d.sum = h.sent, h.sum
-}
-
 // stripSegHandles zeroes the arena segment handles inside a Result's
 // trace. Handles are process-local addresses — the shard plane already
 // re-carves them on receive, and under parallel execution the shared
@@ -146,8 +141,8 @@ func TestFaultSchedulePurity(t *testing.T) {
 }
 
 // TestFaultMatrixModes is the tentpole determinism contract: for the full
-// fault-schedule matrix across graphs and seeds, Single, bounded-lag
-// Multi, and speculative executions must produce deep-equal Results —
+// fault-schedule matrix across graphs and seeds, Single and bounded-lag
+// Multi executions must produce deep-equal Results —
 // fault decisions, retransmissions, undeliverable abandonments, traces
 // and all. Run under -race it is also the fault plane's data-race test.
 func TestFaultMatrixModes(t *testing.T) {
@@ -176,16 +171,6 @@ func TestFaultMatrixModes(t *testing.T) {
 					}
 					if live := multi.Arena().Live(); live != 0 {
 						t.Fatalf("seed=%d fs=%s graph=%s wl=%s: Multi leaked %d segments",
-							seed, fs, tg.name, name, live)
-					}
-					spec := New(tg.g, adv, mk).WithMode(ModeSpec).
-						WithWorkers(4).WithMinParallel(1).KeepTrace()
-					if got := stripSegHandles(spec.Run()); !reflect.DeepEqual(want, got) {
-						t.Fatalf("seed=%d fs=%s graph=%s wl=%s: Spec differs from serial\nserial: %+v\nspec:   %+v",
-							seed, fs, tg.name, name, summarize(want), summarize(got))
-					}
-					if live := spec.Arena().Live(); live != 0 {
-						t.Fatalf("seed=%d fs=%s graph=%s wl=%s: Spec leaked %d segments",
 							seed, fs, tg.name, name, live)
 					}
 					// Drops either retransmit or abandon — no third fate.
@@ -275,10 +260,49 @@ func TestFaultBudgetExhaustionQuiesces(t *testing.T) {
 	}
 }
 
-// TestFaultSteadyStateAllocs mirrors TestSpecRollbackSteadyStateAllocs
-// for the drop/retransmit path: growing the message count across Reset
-// cycles must not grow allocations, and every cycle must leave the arena
-// empty — the exactly-once release pin for dropped-message segments.
+// twoRate drives two ping chains at incommensurate periods: a slow chain
+// on link 0–1 and a fast one on link 1–2.
+type twoRate struct{}
+
+func (twoRate) MinDelay() float64 { return 0.5 }
+func (twoRate) Name() string      { return "tworate" }
+func (twoRate) Delay(from, to graph.NodeID, _ uint64, _ Proto) float64 {
+	if from == 0 || to == 0 {
+		return 0.9 // slow chain on link 0–1
+	}
+	return 0.51 // fast chain on link 1–2
+}
+
+// pingChain: nodes 0 and 2 each drive `remaining` messages to node 1, one
+// at a time (next send on ack), like allocPing but with two independent
+// chains through different owner shards.
+type pingChain struct {
+	remaining int
+}
+
+func (h *pingChain) Init(n *Node) {
+	if n.ID() == 0 || n.ID() == 2 {
+		h.remaining--
+		n.Send(1, Msg{Proto: Proto(1 + n.ID()), Body: wire.Body{Kind: 1, A: int64(h.remaining)}})
+	}
+}
+
+func (h *pingChain) Recv(*Node, graph.NodeID, Msg) {}
+
+func (h *pingChain) Ack(n *Node, to graph.NodeID, m Msg) {
+	if h.remaining > 0 {
+		h.remaining--
+		n.Send(to, Msg{Proto: m.Proto, Body: wire.Body{Kind: 1, A: int64(h.remaining)}})
+	} else if h.remaining == 0 {
+		h.remaining--
+		n.Output(true)
+	}
+}
+
+// TestFaultSteadyStateAllocs is the drop/retransmit path's alloc pin:
+// growing the message count across Reset cycles must not grow
+// allocations, and every cycle must leave the arena empty — the
+// exactly-once release pin for dropped-message segments.
 func TestFaultSteadyStateAllocs(t *testing.T) {
 	g := graph.Path(3)
 	fs := &FaultSchedule{Seed: 31, DropP: 0.25, Budget: 64}
@@ -344,22 +368,20 @@ func FuzzFaultSchedule(f *testing.F) {
 		if err := fs.Validate(); err != nil {
 			t.Fatalf("derived schedule invalid: %v", err)
 		}
-		adv := WithFaults(fuzzDelays{data: data}, fs)
+		adv := WithFaults(fuzzDelays{data: data, lo: 1.0 / (1 << 20)}, fs)
 		mk := func(graph.NodeID) Handler { return &segSpray{} }
 		serial := New(g, adv, mk).WithMode(ModeSingle).KeepTrace()
 		want := stripSegHandles(serial.Run())
 		if live := serial.Arena().Live(); live != 0 {
 			t.Fatalf("serial leaked %d segments under %v", live, data)
 		}
-		for _, mode := range []ExecutionMode{ModeMulti, ModeSpec} {
-			s := New(g, adv, mk).WithMode(mode).
-				WithWorkers(3).WithMinParallel(1).KeepTrace()
-			if got := stripSegHandles(s.Run()); !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s Result differs from serial under fuzzed faults %v", mode, data)
-			}
-			if live := s.Arena().Live(); live != 0 {
-				t.Fatalf("%s leaked %d segments under %v", mode, live, data)
-			}
+		s := New(g, adv, mk).WithMode(ModeMulti).
+			WithWorkers(3).WithMinParallel(1).KeepTrace()
+		if got := stripSegHandles(s.Run()); !reflect.DeepEqual(want, got) {
+			t.Fatalf("multi Result differs from serial under fuzzed faults %v", data)
+		}
+		if live := s.Arena().Live(); live != 0 {
+			t.Fatalf("multi leaked %d segments under %v", live, data)
 		}
 	})
 }

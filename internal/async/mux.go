@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/wire"
 )
 
 // Module is a sub-protocol that can be composed with others on one node.
@@ -23,10 +22,6 @@ type Module interface {
 type Mux struct {
 	modules map[Proto]Module
 	order   []Proto
-	// cloneBuf is CloneStateInto's scratch frame (see muxsnap.go); clone
-	// pairs are per-node, so per-Mux scratch is race-free under ModeSpec's
-	// concurrent per-node cloning.
-	cloneBuf wire.Enc
 }
 
 var _ Handler = (*Mux)(nil)

@@ -10,9 +10,8 @@ import (
 // snapshot support depends on their runtime composition: a Mux is only as
 // serializable as the modules registered on it, which the type system
 // cannot see. The engine consults the probe before trusting a handler's
-// wire.StateCodec or StateCloner methods — a failing probe turns Snapshot
-// into a clean error and ModeSpec into the conservative fallback instead
-// of a panic inside SaveState.
+// wire.StateCodec methods — a failing probe turns Snapshot into a clean
+// error instead of a panic inside SaveState.
 type StateCodecProbe interface {
 	// StateCodecOK reports whether the handler's complete state is
 	// serializable right now.
@@ -31,7 +30,6 @@ type Rebinder interface {
 var (
 	_ wire.StateCodec = (*Mux)(nil)
 	_ StateCodecProbe = (*Mux)(nil)
-	_ StateCloner     = (*Mux)(nil)
 	_ Rebinder        = (*Mux)(nil)
 )
 
@@ -115,27 +113,4 @@ func (x *Mux) Rebind(n *Node) {
 		}
 		return true
 	})
-}
-
-// CloneStateInto implements StateCloner via the state codec: the module
-// stack's state round-trips through a scratch frame into the clone. This
-// is what lets the full synchronizer stack run under ModeSpec — the
-// per-module codecs written for the snapshot plane double as the clone
-// path, so no Mux-hosted stack falls back to the conservative executor
-// anymore.
-func (x *Mux) CloneStateInto(dst Handler) {
-	dx, ok := dst.(*Mux)
-	if !ok {
-		panic(fmt.Sprintf("async: Mux clone target is %T", dst))
-	}
-	x.cloneBuf.Reset()
-	x.SaveState(&x.cloneBuf)
-	d := wire.NewDec(x.cloneBuf.Bytes(), nil)
-	dx.LoadState(d)
-	if err := d.Err(); err != nil {
-		panic(fmt.Sprintf("async: Mux state clone failed: %v", err))
-	}
-	if d.Remaining() != 0 {
-		panic(fmt.Sprintf("async: Mux state clone left %d bytes unread", d.Remaining()))
-	}
 }

@@ -2,8 +2,11 @@ package async
 
 import (
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/execpolicy"
 	"repro/internal/graph"
 	"repro/internal/wire"
 )
@@ -43,18 +46,6 @@ func (h *multiFlood) Recv(n *Node, _ graph.NodeID, m Msg) {
 		n.Send(nb.Node, m)
 	}
 	n.Output(len(h.seen))
-}
-
-func (h *multiFlood) CloneStateInto(dst Handler) {
-	d := dst.(*multiFlood)
-	d.k = h.k
-	if d.seen == nil && h.seen != nil {
-		d.seen = make(map[Proto]bool, len(h.seen))
-	}
-	clear(d.seen)
-	for p := range h.seen {
-		d.seen[p] = true
-	}
 }
 
 // matrixGraphs are the determinism-matrix topologies: a contention-free
@@ -163,6 +154,26 @@ func TestBoundedLagAutoMode(t *testing.T) {
 	got := New(g, Fixed{D: 1}, mk()).WithMode(ModeAuto).Run()
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("ModeAuto Result differs from serial")
+	}
+}
+
+// TestAutoTinyLookaheadRunsSerial: with CPUs available and a graph past
+// AutoMultiLinks, a tiny-lookahead adversary (SeededRandom's 2^-20) must
+// keep ModeAuto on the serial loop — no worker contexts are ever built —
+// and still match serial.
+func TestAutoTinyLookaheadRunsSerial(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	g := graph.RandomConnected(80, 2100, 5) // 4200 directed links >= AutoMultiLinks
+	mk := func(graph.NodeID) Handler { return &floodHandler{} }
+	adv := SeededRandom{Seed: 3}
+	want := New(g, adv, mk).WithMode(ModeSingle).Run()
+	sim := New(g, adv, mk).WithMode(ModeAuto)
+	if got := sim.Run(); !reflect.DeepEqual(want, got) {
+		t.Fatal("ModeAuto Result differs from serial")
+	}
+	if len(sim.wctx) != 0 {
+		t.Fatalf("ModeAuto built %d worker contexts under a 2^-20 lookahead; want the serial loop", len(sim.wctx))
 	}
 }
 
@@ -275,7 +286,7 @@ func (lyingAdversary) MinDelay() float64 { return 0.5 }
 func (lyingAdversary) Name() string      { return "lying" }
 
 func TestMinDelayViolationPanics(t *testing.T) {
-	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti, ModeSpec} {
+	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -303,14 +314,6 @@ func (h *panicAt) Recv(n *Node, from graph.NodeID, m Msg) {
 	h.floodHandler.Recv(n, from, m)
 }
 
-// CloneStateInto must be overridden: the promoted floodHandler method would
-// type-assert dst to *floodHandler and miss the trigger field.
-func (h *panicAt) CloneStateInto(dst Handler) {
-	d := dst.(*panicAt)
-	d.trigger = h.trigger
-	d.seen = h.seen
-}
-
 // TestResetAfterMidWindowPanic pins the recoverable-panic contract the
 // doubling harness relies on: after a ModeMulti run dies mid-window, Reset
 // must clear the workers' staged events, counters, and recorded panic so
@@ -334,4 +337,100 @@ func TestResetAfterMidWindowPanic(t *testing.T) {
 	if got := s.Run(); !reflect.DeepEqual(want, got) {
 		t.Fatalf("rearmed engine after mid-window panic differs from fresh engine:\n%+v\nvs\n%+v", want, got)
 	}
+}
+
+// statsProbe calls Sim.Stats from inside a handler callback and records
+// whether the mid-window guard fired, then floods normally so the run
+// terminates. The flag is atomic: in ModeMulti many workers' probes fire
+// concurrently.
+type statsProbe struct {
+	floodHandler
+	sim      **Sim
+	panicked *atomic.Bool
+}
+
+func (h *statsProbe) Recv(n *Node, from graph.NodeID, m Msg) {
+	func() {
+		defer func() {
+			if recover() != nil {
+				h.panicked.Store(true)
+			}
+		}()
+		(*h.sim).Stats()
+	}()
+	h.floodHandler.Recv(n, from, m)
+}
+
+// TestStatsMidWindowGuard: Stats called while a parallel window is in
+// flight must panic instead of returning counters that are stale by an
+// unknowable amount; in ModeSingle the same call is a well-defined
+// snapshot and must not panic.
+func TestStatsMidWindowGuard(t *testing.T) {
+	g := graph.Grid(6, 6)
+	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti} {
+		var sim *Sim
+		var panicked atomic.Bool
+		mk := func(graph.NodeID) Handler { return &statsProbe{sim: &sim, panicked: &panicked} }
+		sim = New(g, Fixed{D: 1}, mk).WithMode(mode).WithWorkers(2).WithMinParallel(1)
+		sim.Run()
+		if mode == ModeSingle && panicked.Load() {
+			t.Fatal("ModeSingle: mid-run Stats should be a valid snapshot, not a panic")
+		}
+		if mode != ModeSingle && !panicked.Load() {
+			t.Fatalf("%s: Stats inside an in-flight window should panic", mode)
+		}
+	}
+}
+
+// TestAutoPolicyWheelDrift pins the shared policy constant to the calendar
+// wheel's resolution — the two must move together or Auto's window
+// heuristic stops meaning "one wheel tick".
+func TestAutoPolicyWheelDrift(t *testing.T) {
+	if execpolicy.AutoMinLookahead != 1.0/cqBuckets {
+		t.Fatalf("execpolicy.AutoMinLookahead = %g, wheel tick = %g",
+			execpolicy.AutoMinLookahead, 1.0/cqBuckets)
+	}
+}
+
+// fuzzDelays is an adversary whose per-hop delays are drawn from the fuzz
+// input, hashed over (from, to, seq, proto), honoring the declared
+// MinDelay lo.
+type fuzzDelays struct {
+	data []byte
+	lo   float64
+}
+
+func (f fuzzDelays) MinDelay() float64 { return f.lo }
+func (f fuzzDelays) Name() string      { return "fuzz" }
+func (f fuzzDelays) Delay(from, to graph.NodeID, seq uint64, p Proto) float64 {
+	if len(f.data) == 0 {
+		return 0.5
+	}
+	i := (uint64(from)*2654435761 + uint64(to)*40503 + seq*9176 + uint64(p)) % uint64(len(f.data))
+	min := f.MinDelay()
+	return min + (1-min)*(float64(f.data[i])+0.5)/256
+}
+
+// FuzzBoundedLagDelays injects fuzzer-chosen delay patterns and asserts
+// the bounded-lag executor, with a 3-worker pool that fans out on every
+// window, reproduces the serial Result byte-for-byte. A MinDelay of 1/16
+// makes the windows wide enough to hold many events across shards, so the
+// fuzzer chooses how they interleave.
+func FuzzBoundedLagDelays(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{255, 0})
+	f.Add([]byte{3, 200, 17, 90, 255, 1, 128})
+	f.Add([]byte("window interleavings"))
+	g := graph.RandomConnected(24, 50, 11)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		adv := fuzzDelays{data: data, lo: 1.0 / 16}
+		mk := func(graph.NodeID) Handler { return &multiFlood{k: 2} }
+		serial := New(g, adv, mk).WithMode(ModeSingle).KeepTrace().Run()
+		multi := New(g, adv, mk).WithMode(ModeMulti).
+			WithWorkers(3).WithMinParallel(1).KeepTrace().Run()
+		if !reflect.DeepEqual(serial, multi) {
+			t.Fatalf("bounded-lag Result differs from serial under fuzzed delays %v", data)
+		}
+	})
 }

@@ -54,7 +54,7 @@ type ShardStagedView struct {
 
 // BeginShard flips the engine into shard-staged mode. The Sim must have
 // been built over the shard's Subrange view (or the whole graph when
-// K=1). Incompatible with Run, DenseOutputs, and the speculative mode.
+// K=1). Incompatible with Run and DenseOutputs.
 func (s *Sim) BeginShard() {
 	if s.running {
 		panic("async: BeginShard on a running engine")

@@ -18,12 +18,11 @@ import (
 type ExecutionMode int
 
 const (
-	// ModeAuto picks a parallel executor when the graph is large enough to
-	// amortize per-round coordination and more than one CPU is available:
-	// ModeMulti when the adversary's lookahead makes safe windows worth a
-	// barrier, ModeSpec when lookahead is tiny but every handler implements
-	// StateCloner, else ModeSingle. The decision lives in
-	// execpolicy.AsyncAuto, shared with the lockstep runner's heuristic.
+	// ModeAuto picks ModeMulti when the graph is large enough to amortize
+	// per-window coordination, more than one CPU is available, and the
+	// adversary's lookahead makes safe windows worth a barrier; otherwise
+	// ModeSingle. The decision lives in execpolicy.AsyncAuto, shared with
+	// the lockstep runner's heuristic.
 	ModeAuto ExecutionMode = iota
 	// ModeSingle pops one event at a time on the calling goroutine.
 	ModeSingle
@@ -31,15 +30,6 @@ const (
 	// window, each worker drains its own node shard's event wheel, staging
 	// effects that merge deterministically at the window barrier.
 	ModeMulti
-	// ModeSpec executes speculative rounds on a worker pool: each worker
-	// optimistically drains its shard past the safe window up to an
-	// adaptive horizon, running cloned handlers and logging their effects;
-	// a serial commit walk at the round barrier replays the effects in
-	// global (t, seq) order through the serial engine's own code path,
-	// detects stragglers, and rolls back only the poisoned suffix. Requires
-	// every handler to implement StateCloner; otherwise the run falls back
-	// to ModeMulti (see SpecStats.FellBack).
-	ModeSpec
 )
 
 func (m ExecutionMode) String() string {
@@ -50,8 +40,6 @@ func (m ExecutionMode) String() string {
 		return "single"
 	case ModeMulti:
 		return "multi"
-	case ModeSpec:
-		return "spec"
 	}
 	return fmt.Sprintf("ExecutionMode(%d)", int(m))
 }
@@ -91,10 +79,13 @@ type Sim struct {
 	// faults is the schedule unwrapped from a Faulty adversary at New/Reset
 	// (nil when absent). It is consulted once per transmission attempt at
 	// dispatch — the same point in the event order in every execution mode,
-	// so fault decisions are byte-identical across Single/Multi/Spec/shard.
+	// so fault decisions are byte-identical across Single/Multi/shard.
 	faults   *FaultSchedule
 	handlers []Handler
 	nodes    []Node
+	// mk is the handler constructor of the current run, retained so
+	// Restore can rebuild the handlers before loading their state.
+	mk func(id graph.NodeID) Handler
 
 	// nodeBase mirrors g.NodeBase(): per-node arrays (handlers, nodes,
 	// hasOut, output slabs) are NLocal-sized and indexed by id - nodeBase.
@@ -167,9 +158,9 @@ type Sim struct {
 	// populate the queue.
 	resumed bool
 
-	// inWindow is true while a parallel window or speculative round is in
-	// flight — between fan-out and barrier merge, the engine's counters are
-	// a committed prefix and Stats refuses to serve them as a snapshot.
+	// inWindow is true while a parallel window is in flight — between
+	// fan-out and barrier merge, the engine's counters are a committed
+	// prefix and Stats refuses to serve them as a snapshot.
 	inWindow bool
 
 	// direct is the apply-immediately execution context (ModeSingle and
@@ -179,44 +170,20 @@ type Sim struct {
 	workerPanics []any
 	mergeCur     []int
 
-	// Speculative-executor state (ModeSpec); see spec.go. mk is retained so
-	// rounds can build clone targets lazily.
-	specMk        func(id graph.NodeID) Handler
-	specClones    []Handler // per-node clone slot, ping-ponged with handlers
-	specCloneEp   []uint64  // round epoch when specClones[v] was refreshed
-	specSwapEp    []uint64  // round epoch when handlers[v]/specClones[v] swapped
-	specRejEp     []uint64  // round epoch when node v owned a rejected event
-	specOutEp     []uint64  // round epoch when v's speculative output view became valid
-	specOutView   []bool    // speculative-phase view of hasOut[v]
-	specOutSaved  []bool    // hasOut[v] at the round start (repair's evolving local view)
-	specRoundEp   uint64    // current round epoch; never reused, survives Reset
-	specNewMin    float64   // min t scheduled during the in-flight commit walk
-	specWalking   bool      // commit walk in progress (schedule feeds specNewMin)
-	specFixedSpan float64   // WithSpecHorizon; 0 = adaptive
-	specRelease   []wire.Seg
-	swallowCtx    execCtx
-	specStats     SpecStats
-
 	// arena backs Body.Seg segments; sent segments return to it after the
 	// ack completes the message's lifecycle.
 	arena wire.Arena
 }
 
-// SpecStats is the speculative executor's round accounting: how many
-// barrier rounds ran, how many events were executed optimistically, how
-// many of those committed, how many were rolled back and re-executed in a
-// later round, and how many committed events needed their handler's state
-// transition replayed because the node also owned a rolled-back event.
-// Rejected/Executed is the rollback rate E15 charts per adversary. FellBack
-// reports that a ModeSpec run used the bounded-lag executor instead because
-// at least one handler does not implement StateCloner.
+// SpecStats is a retained shim: the speculative executor it accounted for
+// was removed because it lost to ModeSingle on every measured workload.
+// The type and Sim.SpecStats survive only for perfbench, which still
+// reports the counters; they are always zero.
 type SpecStats struct {
 	Rounds    uint64
 	Executed  uint64
 	Committed uint64
-	Rejected  uint64
 	Replayed  uint64
-	FellBack  bool
 }
 
 // TraceKind distinguishes delivery-trace entry types. The zero value is a
@@ -308,7 +275,7 @@ func New(g *graph.Graph, adv Adversary, mk func(id graph.NodeID) Handler) *Sim {
 		maxEvents:   1 << 34,
 		workers:     execpolicy.DefaultWorkers(),
 		minParallel: defaultMinParallel,
-		specMk:      mk,
+		mk:          mk,
 	}
 	s.direct = execCtx{s: s, direct: true}
 	for i := 0; i < g.NLocal(); i++ {
@@ -350,25 +317,8 @@ func (s *Sim) WithWorkers(k int) *Sim {
 	return s
 }
 
-// WithSpecHorizon pins the speculative round horizon to a fixed span of
-// simulated time (0, the default, is adaptive: the engine doubles the
-// horizon after fully-committed rounds and shrinks it to twice the
-// observed commit span after a rollback). Spans below the adversary's
-// MinDelay are clamped up to it at Run — the safe window always commits.
-// Results are byte-identical for every horizon; the knob only trades
-// speculation depth against rollback waste, and exists mainly so tests and
-// experiments can force heavy-rollback regimes.
-func (s *Sim) WithSpecHorizon(h float64) *Sim {
-	if h < 0 || math.IsNaN(h) {
-		panic(fmt.Sprintf("async: speculation horizon %g invalid", h))
-	}
-	s.specFixedSpan = h
-	return s
-}
-
-// SpecStats reports the speculative executor's accounting for the current
-// or last run (Reset zeroes it). All-zero outside ModeSpec.
-func (s *Sim) SpecStats() SpecStats { return s.specStats }
+// SpecStats always returns the zero value (see the SpecStats type).
+func (s *Sim) SpecStats() SpecStats { return SpecStats{} }
 
 // WithMinParallel sets the smallest queue population for which a ModeMulti
 // window fans out to goroutines (default 128); tests lower it to force the
@@ -405,17 +355,13 @@ func (s *Sim) Graph() *graph.Graph { return s.g }
 // Stats snapshots the costs accrued so far: the current simulation time
 // and the message/ack counters, with the per-protocol breakdown
 // materialized as a map. In ModeSingle the snapshot is exact at any point.
-// In the parallel modes the counters are the committed prefix — everything
-// up to the last window barrier (ModeMulti) or the last committed event
-// (ModeSpec, whose commit walk replays the serial engine exactly, making
-// a post-panic snapshot identical to the serial one). Calling Stats while
-// a parallel window or speculative round is actually in flight — possible
-// only from another goroutine or from inside a handler — panics instead of
-// returning numbers that are stale by an unknowable in-flight amount.
-// core.SynchronizeUnknownBound bills doubling attempts that abort before
-// Run returns (Theorem 5.4's Σ 2^t accounting) from this snapshot; serial
-// event order defines an aborted attempt's cost, which both the serial
-// engine and the speculative commit walk provide.
+// In ModeMulti the counters are the committed prefix — everything up to
+// the last window barrier. Calling Stats while a parallel window is
+// actually in flight — possible only from another goroutine or from
+// inside a handler — panics instead of returning numbers that are stale
+// by an unknowable in-flight amount. core.SynchronizeUnknownBound bills
+// doubling attempts that abort before Run returns (Theorem 5.4's Σ 2^t
+// accounting) from this snapshot.
 func (s *Sim) Stats() (now float64, msgs, acks uint64, perProto map[Proto]uint64) {
 	if s.inWindow {
 		panic("async: Stats called while a parallel window is in flight; mid-run snapshots are defined only between barriers (or any time in ModeSingle)")
@@ -560,25 +506,8 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	for k := range s.workerPanics {
 		s.workerPanics[k] = nil
 	}
-	// Clear speculative state. The round epoch is deliberately NOT reset —
-	// it must never repeat, so the per-node epoch arrays (specCloneEp and
-	// friends) invalidate themselves without a scrub. Clone targets are
-	// dropped because mk may build different handler types this cycle.
 	s.inWindow = false
-	s.specWalking = false
-	for i := range s.specClones {
-		s.specClones[i] = nil
-	}
-	for k := range s.wctx {
-		c := &s.wctx[k]
-		clearSpecOps(c.specOps)
-		c.specOps = c.specOps[:0]
-		c.specLog = c.specLog[:0]
-		c.specPanicked, c.specPanic = false, nil
-	}
-	s.specRelease = s.specRelease[:0]
-	s.specStats = SpecStats{}
-	s.specMk = mk
+	s.mk = mk
 	s.arena.Reset()
 	s.shardMode = false
 	s.shardLog = s.shardLog[:0]
@@ -599,46 +528,17 @@ func (s *Sim) Run() Result {
 	s.running = true
 	mode := s.mode
 	if mode == ModeAuto {
-		switch execpolicy.AsyncAuto(s.workers, s.g.Links(), s.lookahead, s.handlersCloneable()) {
-		case execpolicy.AsyncWindows:
+		mode = ModeSingle
+		if execpolicy.AsyncAuto(s.workers, s.g.Links(), s.lookahead, false) == execpolicy.AsyncWindows {
 			mode = ModeMulti
-		case execpolicy.AsyncSpec:
-			mode = ModeSpec
-		default:
-			mode = ModeSingle
 		}
 	}
-	if mode == ModeSpec && !s.handlersCloneable() {
-		// Opting in is per-handler (StateCloner); a stack that cannot be
-		// cloned gets the conservative executor, not an error — callers can
-		// force -mode=spec fleet-wide and let each workload take what it
-		// supports. SpecStats records the downgrade.
-		s.specStats.FellBack = true
-		mode = ModeMulti
-	}
-	switch mode {
-	case ModeMulti:
+	if mode == ModeMulti {
 		s.runWindows()
-	case ModeSpec:
-		s.runSpec()
-	default:
+	} else {
 		s.runSerial()
 	}
 	return s.result()
-}
-
-// handlersCloneable reports whether every handler opted into speculative
-// execution. O(n) type assertions; called at most twice per Run.
-func (s *Sim) handlersCloneable() bool {
-	for _, h := range s.handlers {
-		if _, ok := h.(StateCloner); !ok {
-			return false
-		}
-		if pr, ok := h.(StateCodecProbe); ok && !pr.StateCodecOK() {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *Sim) runSerial() {
@@ -977,15 +877,6 @@ type execCtx struct {
 	s      *Sim
 	direct bool
 
-	// spec marks a worker context inside a speculative round: handler
-	// effects are logged as specOps instead of applied, and nothing else in
-	// the engine is touched. swallow marks the straddle-repair context: a
-	// handler state transition is re-executed for its state change alone,
-	// its Send/Output effects discarded (they were already committed or
-	// rolled back at the event level). See spec.go.
-	spec    bool
-	swallow bool
-
 	// now/curSeq identify the event being processed (the parallel schedule
 	// staging keys on them; the direct context mirrors Sim.now).
 	now    float64
@@ -1003,21 +894,6 @@ type execCtx struct {
 	perProto   []uint64
 	staged     []stagedEv
 	trace      []TraceEntry
-
-	// Speculative round log (spec contexts): flat op log plus one entry per
-	// executed event closing its op range. specCur is the event currently
-	// inside its handler callback, so a panic can be attributed.
-	specOps      []specOp
-	specLog      []specExec
-	specCur      event
-	specPanic    any
-	specPanicked bool
-
-	// replay (direct context, commit walk only): when replayOn is set,
-	// invokeRecv/invokeAck apply this logged op sequence instead of calling
-	// the handler — everything else in processEvent runs as in ModeSingle.
-	replay   []specOp
-	replayOn bool
 }
 
 // stagedEv is one deferred schedule call, keyed by the event that issued it.
@@ -1042,7 +918,8 @@ func (c *execCtx) processEvent(ev *event) {
 				c.trace = append(c.trace, te)
 			}
 		}
-		c.invokeRecv(ev)
+		dst := s.li(ev.dst)
+		s.handlers[dst].Recv(&s.nodes[dst], ev.src, ev.msg)
 		// Ack travels back; its arrival frees the link.
 		if c.direct {
 			s.acks++
@@ -1067,7 +944,8 @@ func (c *execCtx) processEvent(ev *event) {
 		// ev.src is the original sender whose link is now free.
 		s.busy[ev.link] = false
 		c.dispatch(ev.src, ev.dst, ev.link)
-		c.invokeAck(ev)
+		src := s.li(ev.src)
+		s.handlers[src].Ack(&s.nodes[src], ev.dst, ev.msg)
 		// The ack ends the message's lifecycle; recycle any segment
 		// (receivers copy data out if they keep it). No-op without one.
 		s.arena.Release(ev.msg.Body.Seg)
@@ -1079,69 +957,11 @@ func (c *execCtx) processEvent(ev *event) {
 	}
 }
 
-// invokeRecv runs the delivery's handler callback — or, during a
-// speculative commit walk, replays the effects the callback logged when it
-// already ran on the clone. Either way the surrounding processEvent
-// mechanics (trace, counters, ack scheduling, seq assignment) execute the
-// serial engine's code on the serial engine's state.
-func (c *execCtx) invokeRecv(ev *event) {
-	if c.replayOn {
-		c.applyOps(ev)
-		return
-	}
-	s := c.s
-	d := s.li(ev.dst)
-	s.handlers[d].Recv(&s.nodes[d], ev.src, ev.msg)
-}
-
-// invokeAck is invokeRecv's counterpart for ack-return events.
-func (c *execCtx) invokeAck(ev *event) {
-	if c.replayOn {
-		c.applyOps(ev)
-		return
-	}
-	s := c.s
-	src := s.li(ev.src)
-	s.handlers[src].Ack(&s.nodes[src], ev.dst, ev.msg)
-}
-
-// applyOps replays a logged handler-effect sequence through this context.
-// The ops re-enter send/setOutput exactly where the handler's own calls
-// would have, so counters, outbox scheduling, and adversary consultation
-// happen in the identical order.
-func (c *execCtx) applyOps(ev *event) {
-	owner := ownerOf(*ev)
-	for i := range c.replay {
-		op := &c.replay[i]
-		switch op.kind {
-		case opSend:
-			c.send(owner, op.to, op.msg)
-		case opOutBody:
-			c.setOutputBody(op.to, op.msg.Body)
-		case opOutAny:
-			c.setOutput(op.to, op.val)
-		}
-	}
-}
-
 func (c *execCtx) send(from, to graph.NodeID, m Msg) {
 	s := c.s
 	l := s.g.LinkBetween(from, to)
 	if l < 0 {
 		panic(fmt.Sprintf("async: node %d sending to non-neighbor %d", from, to))
-	}
-	if c.spec {
-		// Speculative phase: log the intent, touch nothing. The commit walk
-		// applies it (or rollback releases its segment).
-		c.specOps = append(c.specOps, specOp{kind: opSend, to: to, msg: m})
-		return
-	}
-	if c.swallow {
-		// Straddle repair re-runs a handler transition whose sends were
-		// already committed by the walk; this duplicate message dies here,
-		// and its freshly carved segment goes straight back.
-		s.arena.Release(m.Body.Seg)
-		return
 	}
 	if c.direct {
 		s.msgs++
@@ -1293,11 +1113,6 @@ func (c *execCtx) schedule(ev event) {
 func (s *Sim) schedule(ev event) {
 	ev.seq = s.eventSq
 	s.eventSq++
-	if s.specWalking && ev.t < s.specNewMin {
-		// Straggler frontier: the commit walk may not commit any already-
-		// speculated event past the earliest timestamp it has scheduled.
-		s.specNewMin = ev.t
-	}
 	if s.sharded {
 		s.shards[int(ownerOf(ev))%len(s.shards)].push(ev)
 	} else {
@@ -1339,15 +1154,6 @@ func (c *execCtx) setOutputBody(id graph.NodeID, b wire.Body) {
 		panic(fmt.Sprintf("async: node %d output a Body with zero Kind", id))
 	}
 	s := c.s
-	if c.spec {
-		c.specOps = append(c.specOps, specOp{kind: opOutBody, to: id, msg: Msg{Body: b}})
-		s.specTouchOut(id)
-		return
-	}
-	if c.swallow {
-		s.specOutSaved[id] = true
-		return
-	}
 	i := s.li(id)
 	if !s.hasOut[i] {
 		s.hasOut[i] = true
@@ -1365,15 +1171,6 @@ func (c *execCtx) setOutput(id graph.NodeID, v any) {
 		return
 	}
 	s := c.s
-	if c.spec {
-		c.specOps = append(c.specOps, specOp{kind: opOutAny, to: id, val: v})
-		s.specTouchOut(id)
-		return
-	}
-	if c.swallow {
-		s.specOutSaved[id] = true
-		return
-	}
 	i := s.li(id)
 	if !s.hasOut[i] {
 		s.hasOut[i] = true
@@ -1383,30 +1180,6 @@ func (c *execCtx) setOutput(id graph.NodeID, v any) {
 		outB[i] = wire.Body{}
 	}
 	s.outAnys()[i] = v
-}
-
-// hasOutput answers Node.HasOutput through the node's execution context:
-// the committed array in serial/window execution, the per-round overlay
-// during a speculative phase, and repair's evolving local view during a
-// swallow replay. Each view reproduces what the serial engine's hasOut
-// would say at the same point in the event order.
-func (c *execCtx) hasOutput(id graph.NodeID) bool {
-	s := c.s
-	if c.spec {
-		if s.specOutEp[id] != s.specRoundEp {
-			s.specOutEp[id] = s.specRoundEp
-			s.specOutView[id] = s.hasOut[id]
-			s.specOutSaved[id] = s.hasOut[id]
-		}
-		return s.specOutView[id]
-	}
-	if c.swallow {
-		if s.specOutEp[id] == s.specRoundEp {
-			return s.specOutSaved[id]
-		}
-		return s.hasOut[id]
-	}
-	return s.hasOut[s.li(id)]
 }
 
 // bumpProtoBy adds n to the dense per-proto counter, growing the slice to

@@ -35,8 +35,6 @@ func (h *floodHandler) Recv(n *Node, _ graph.NodeID, m Msg) {
 	}
 }
 
-func (h *floodHandler) CloneStateInto(dst Handler) { dst.(*floodHandler).seen = h.seen }
-
 func runFlood(g *graph.Graph, adv Adversary) Result {
 	s := New(g, adv, func(graph.NodeID) Handler { return &floodHandler{} })
 	return s.Run()

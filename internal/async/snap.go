@@ -61,10 +61,10 @@ func (s *Sim) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.Reset(s.adv, s.specMk)
+	s.Reset(s.adv, s.mk)
 	d := wire.NewDec(payload, &s.arena)
 	if err := s.decodeEngine(d); err != nil {
-		s.Reset(s.adv, s.specMk) // releases everything the partial decode carved
+		s.Reset(s.adv, s.mk) // releases everything the partial decode carved
 		return err
 	}
 	return nil

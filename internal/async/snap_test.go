@@ -10,10 +10,10 @@ import (
 )
 
 // snapRelax is the round-trip test workload: multi-source BFS by monotone
-// relaxation. It implements both wire.StateCodec (snapshot/restore) and
-// StateCloner (ModeSpec), so a snapshot taken mid-run can be resumed under
-// every execution mode. root is config — the handler constructor rebuilds
-// it — so only the mutable pair (have, dist) serializes.
+// relaxation. It implements wire.StateCodec, so a snapshot taken mid-run
+// can be resumed under every execution mode. root is config — the handler
+// constructor rebuilds it — so only the mutable pair (have, dist)
+// serializes.
 type snapRelax struct {
 	NopAck
 	root bool
@@ -54,11 +54,6 @@ func (h *snapRelax) LoadState(d *wire.Dec) {
 	h.dist = d.I64()
 }
 
-func (h *snapRelax) CloneStateInto(dst Handler) {
-	o := dst.(*snapRelax)
-	o.have, o.dist = h.have, h.dist
-}
-
 func mkRelax(id graph.NodeID) Handler { return &snapRelax{root: id == 0} }
 
 // snapAdversaries pairs each adversary with the fault schedules it runs
@@ -91,7 +86,7 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 	for _, adv := range snapAdversaries(t) {
 		t.Run(adv.Name(), func(t *testing.T) {
 			ref := New(g, adv, mkRelax).KeepTrace().Run()
-			modes := []ExecutionMode{ModeSingle, ModeMulti, ModeSpec}
+			modes := []ExecutionMode{ModeSingle, ModeMulti}
 			for k := uint64(0); ; k++ {
 				a := New(g, adv, mkRelax).KeepTrace()
 				done := a.RunSteps(k)

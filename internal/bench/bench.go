@@ -1,6 +1,7 @@
 // Package bench implements the experiment harness: one function per
-// experiment in DESIGN.md's index (E1–E18), each regenerating its table of
-// measured time/message complexities against the paper's predicted shape.
+// experiment in DESIGN.md's index (E1–E18; E15 is retired), each
+// regenerating its table of measured time/message complexities against
+// the paper's predicted shape.
 // Root bench_test.go and cmd/syncbench both call into this package.
 //
 // The harness is job-based: every experiment enumerates its independent
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"text/tabwriter"
 
@@ -62,7 +64,6 @@ var experiments = []experiment{
 	{"E12", "gather-in-covers cost (Thm 3.1)", e12GatherCost},
 	{"E13", "lockstep engine throughput by execution mode", e13EngineThroughput},
 	{"E14", "async engine throughput by execution mode (bounded-lag windows)", e14AsyncEngineThroughput},
-	{"E15", "speculative execution past the safe window (rollback accounting)", e15SpeculativeExecution},
 	{"E16", "retained footprint vs n (graph plane + engine state)", e16Footprint},
 	{"E17", "fault-plane overhead vs fault rate (crash × drop × budget)", e17FaultOverhead},
 	{"E18", "state-plane snapshot overhead (frame bytes + time vs interval)", e18SnapshotOverheads},
@@ -121,8 +122,8 @@ type Options struct {
 	Mode syncrun.ExecutionMode
 	// AsyncMode selects the asynchronous engine's execution mode for every
 	// experiment that runs a simulation (cmd/syncbench -mode sets both
-	// engines). Also byte-identical across modes; E14 and E15 compare the
-	// modes explicitly and ignore it.
+	// engines). Also byte-identical across modes; E14 compares the modes
+	// explicitly and ignores it.
 	AsyncMode async.ExecutionMode
 	// Graph is an optional extra topology, as a graph.FromSpec string
 	// (cmd/syncbench -graph, e.g. "grid3d:100x100x100"). The engine-facing
@@ -321,7 +322,7 @@ func Run(w io.Writer, ids []string, opts Options) error {
 	}
 	for _, id := range ids {
 		if byID(id) == nil {
-			return fmt.Errorf("unknown experiment %q (want E1..E%d)", id, len(experiments))
+			return fmt.Errorf("unknown experiment %q (want one of %s)", id, strings.Join(IDs(), ","))
 		}
 	}
 	tw := w
@@ -373,7 +374,7 @@ func All(w io.Writer) {
 	}
 }
 
-// ByName runs one experiment by its id ("E1".."E16"); it reports whether
+// ByName runs one experiment by its id (one of IDs()); it reports whether
 // the id was known.
 func ByName(w io.Writer, id string) bool {
 	if byID(id) == nil {
@@ -401,6 +402,5 @@ func E11StagePipelining(w io.Writer)       { ByName(w, "E11") }
 func E12GatherCost(w io.Writer)            { ByName(w, "E12") }
 func E13EngineThroughput(w io.Writer)      { ByName(w, "E13") }
 func E14AsyncEngineThroughput(w io.Writer) { ByName(w, "E14") }
-func E15SpeculativeExecution(w io.Writer)  { ByName(w, "E15") }
 func E16Footprint(w io.Writer)             { ByName(w, "E16") }
 func E17FaultOverhead(w io.Writer)         { ByName(w, "E17") }

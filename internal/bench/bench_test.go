@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,13 +28,16 @@ func TestByName(t *testing.T) {
 
 func TestRegistryOrdered(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 18 {
-		t.Fatalf("registry has %d experiments, want 18", len(ids))
-	}
-	for i, id := range ids {
-		if want := fmt.Sprintf("E%d", i+1); id != want {
-			t.Fatalf("registry[%d] = %s, want %s", i, id, want)
+	// E15 (the removed speculative executor's table) is retired, not
+	// reused, so published tables keep their ids.
+	var want []string
+	for i := 1; i <= 18; i++ {
+		if i != 15 {
+			want = append(want, fmt.Sprintf("E%d", i))
 		}
+	}
+	if !reflect.DeepEqual(ids, want) {
+		t.Fatalf("registry = %v, want %v", ids, want)
 	}
 	infos := List()
 	for i, info := range infos {

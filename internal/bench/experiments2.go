@@ -273,19 +273,6 @@ func (h *floodK) Recv(n *async.Node, _ graph.NodeID, m async.Msg) {
 
 func (h *floodK) Ack(*async.Node, graph.NodeID, async.Msg) {}
 
-func (h *floodK) CloneStateInto(dst async.Handler) {
-	d := dst.(*floodK)
-	d.k = h.k
-	d.staged = h.staged
-	if d.seen == nil && h.seen != nil {
-		d.seen = make(map[async.Proto]bool, len(h.seen))
-	}
-	clear(d.seen)
-	for p := range h.seen {
-		d.seen[p] = true
-	}
-}
-
 // e11StagePipelining measures the composition machinery of §2.2: k
 // simultaneous floods share every link of a path. Round-robin multiplexing
 // (Cor 2.3) pipelines them in ≈ D + k time rather than k·D; stage

@@ -26,10 +26,8 @@ type Config struct {
 	// ℓ(B)+5); nil builds them from the graph.
 	Layered *cover.Layered
 	// Mode selects the asynchronous engine's execution mode (default
-	// ModeAuto). Results are byte-identical across modes; the parallel
-	// modes only change wall-clock. The stack's state codec doubles as its
-	// StateCloner, so ModeSpec runs the synchronizer speculatively like
-	// any other cloneable workload.
+	// ModeAuto). Results are byte-identical across modes; ModeMulti only
+	// changes wall-clock.
 	Mode async.ExecutionMode
 	// Workers caps the engine's parallel worker pool (0 = engine default;
 	// negative panics).

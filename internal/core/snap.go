@@ -14,9 +14,7 @@ import (
 // handler serializes its complete mutable run state — the embedded
 // synchronous algorithm first (as a blob, via its own wire.StateCodec),
 // then the synchronizer's own bookkeeping — so the engine state plane can
-// checkpoint and resume any synchronized run, and the Mux's codec-backed
-// CloneStateInto lets the full stack run under ModeSpec without the old
-// fall-back to the conservative executor.
+// checkpoint and resume any synchronized run.
 //
 // The congestStamp deliberately stays out of every frame: its epoch
 // counter only ever grows and stamps are compared for equality, so a

@@ -21,10 +21,9 @@ import (
 const MaxWorkers = 16
 
 // AutoMinLookahead is the smallest adversary lookahead for which Auto mode
-// engages the conservative bounded-lag executor: one tick of the async
-// engine's 256-slot calendar wheel. Below it, safe windows rarely hold
-// more than one event and the barrier is pure overhead — that regime
-// belongs to the speculative executor instead.
+// engages the bounded-lag executor: one tick of the async engine's
+// 256-slot calendar wheel. Below it, safe windows rarely hold more than
+// one event and the barrier is pure overhead, so Auto runs serially.
 const AutoMinLookahead = 1.0 / 256
 
 // AutoMultiLinks is the graph size (directed links) at which the async
@@ -39,8 +38,8 @@ const AutoMultiNodes = 2048
 // AutoHugeLinks is the graph size (directed links) past which Auto mode
 // treats the graph as huge: with millions of concurrent link timers even a
 // lookahead far below AutoMinLookahead packs thousands of events into each
-// safe window, so the windowed/speculative executors amortize their
-// barriers and the serial heap discipline becomes the bottleneck.
+// safe window, so the windowed executor amortizes its barriers and the
+// serial heap discipline becomes the bottleneck.
 const AutoHugeLinks = 1 << 21
 
 // AutoHugeEventsPerWindow is the expected-events-per-safe-window level
@@ -86,15 +85,18 @@ const (
 	AsyncSerial AsyncChoice = iota
 	// AsyncWindows: conservative bounded-lag windows on a worker pool.
 	AsyncWindows
-	// AsyncSpec: speculative rounds past the safe window (requires every
-	// handler to implement async.StateCloner).
+	// AsyncSpec is a retained shim that AsyncAuto never returns: the
+	// speculative executor it named was removed after losing to serial on
+	// every measured workload. perfbench still names it.
 	AsyncSpec
 )
 
 // AsyncAuto picks the async engine's execution path: the bounded-lag
-// window executor when the adversary's lookahead makes safe windows worth
-// a barrier, the speculative executor when lookahead is tiny but the
-// graph is big and the handlers are cloneable, and serial otherwise.
+// window executor when the graph is big enough, more than one CPU is
+// available, and the adversary's lookahead makes safe windows worth a
+// barrier; serial otherwise. cloneable is ignored — it is a retained shim
+// parameter from the speculative executor, kept because perfbench calls
+// this four-argument form.
 //
 // Huge graphs (AutoHugeLinks and up) get an extra windowed gate: a
 // lookahead below AutoMinLookahead still engages the window executor when
@@ -110,9 +112,6 @@ func AsyncAuto(workers, links int, lookahead float64, cloneable bool) AsyncChoic
 	}
 	if links >= AutoHugeLinks && lookahead*float64(links) >= AutoHugeEventsPerWindow {
 		return AsyncWindows
-	}
-	if cloneable {
-		return AsyncSpec
 	}
 	return AsyncSerial
 }

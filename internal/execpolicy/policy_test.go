@@ -64,7 +64,7 @@ func TestAsyncAuto(t *testing.T) {
 			{"one worker", 1, AutoMultiLinks, 1, true, AsyncSerial},
 			{"small graph", 4, AutoMultiLinks - 1, 1, true, AsyncSerial},
 			{"wide lookahead", 4, AutoMultiLinks, AutoMinLookahead, true, AsyncWindows},
-			{"tiny lookahead, cloneable", 4, AutoMultiLinks, AutoMinLookahead / 2, true, AsyncSpec},
+			{"tiny lookahead, cloneable", 4, AutoMultiLinks, AutoMinLookahead / 2, true, AsyncSerial},
 			{"tiny lookahead, opaque state", 4, AutoMultiLinks, AutoMinLookahead / 2, false, AsyncSerial},
 		}
 		for _, c := range cases {
@@ -105,12 +105,39 @@ func TestHugeGraphGate(t *testing.T) {
 			// expected events — exactly the gate.
 			{"huge graph, product at gate", AutoHugeLinks, tiny, false, AsyncWindows},
 			{"huge graph, product below gate", AutoHugeLinks, tiny / 2, false, AsyncSerial},
-			{"huge graph, product below gate, cloneable", AutoHugeLinks, tiny / 2, true, AsyncSpec},
+			{"huge graph, product below gate, cloneable", AutoHugeLinks, tiny / 2, true, AsyncSerial},
 			{"just under huge", AutoHugeLinks - 1, tiny, false, AsyncSerial},
-			{"just under huge, cloneable", AutoHugeLinks - 1, tiny, true, AsyncSpec},
+			{"just under huge, cloneable", AutoHugeLinks - 1, tiny, true, AsyncSerial},
 		}
 		for _, c := range cases {
 			if got := AsyncAuto(4, c.links, c.lookahead, c.cloneable); got != c.want {
+				t.Errorf("%s: AsyncAuto = %v, want %v", c.name, got, c.want)
+			}
+		}
+	})
+}
+
+// TestAsyncAutoBenchmarkShapes pins Auto's choice on the end-to-end
+// benchmark's four workloads (perfbench, GOMAXPROCS 2) by their directed
+// link counts and adversary lookahead: SeededRandom declares 2^-20,
+// Fixed{1} declares 1. Auto is handed a cloneable stack, as the
+// synchronizer's Mux once advertised, and must still not pick AsyncSpec.
+func TestAsyncAutoBenchmarkShapes(t *testing.T) {
+	const random = 1.0 / (1 << 20)
+	withProcs(2, func() {
+		cases := []struct {
+			name      string
+			links     int
+			lookahead float64
+			want      AsyncChoice
+		}{
+			{"sync-bfs-grid grid:32x32", 3968, random, AsyncSerial},
+			{"sync-mst-pa pa:n=400,m=3", 2388, random, AsyncSerial},
+			{"alpha-bfs-grid3d grid3d:12x12x12 Fixed{1}", 9504, 1, AsyncWindows},
+			{"sync-leader-er er:n=128,m=2100", 4200, random, AsyncSerial},
+		}
+		for _, c := range cases {
+			if got := AsyncAuto(2, c.links, c.lookahead, true); got != c.want {
 				t.Errorf("%s: AsyncAuto = %v, want %v", c.name, got, c.want)
 			}
 		}

@@ -22,8 +22,10 @@ import (
 //	pa:n=<n>,m=<m>[,seed=<s>]   power-law preferential attachment (implicit)
 //	ring:k=<k>,c=<c>         ring of k c-cliques joined by road edges (implicit)
 //
-// Implicit generators validate their size against the 32-bit id space and
-// return a clear error instead of allocating.
+// Every size is validated before anything is allocated: a spec that
+// would yield no nodes, a degenerate shape (a cycle below 3 nodes, an er
+// graph with fewer than n-1 edges), or more nodes or edges than the 32-bit
+// id spaces hold is an error, never a panic or an empty graph.
 func FromSpec(spec string) (*Graph, error) {
 	kind, args, ok := strings.Cut(spec, ":")
 	if !ok {
@@ -34,6 +36,16 @@ func FromSpec(spec string) (*Graph, error) {
 		n, err := strconv.Atoi(args)
 		if err != nil {
 			return nil, fmt.Errorf("graph: spec %q: bad size %q", spec, args)
+		}
+		minN, edges := 1, int64(n)-1
+		switch kind {
+		case "cycle":
+			minN, edges = 3, int64(n)
+		case "complete":
+			edges = int64(n) * (int64(n) - 1) / 2
+		}
+		if err := checkSize(spec, n, minN, edges); err != nil {
+			return nil, err
 		}
 		switch kind {
 		case "path":
@@ -52,7 +64,14 @@ func FromSpec(spec string) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Grid(dims[0], dims[1]), nil
+		r, c := dims[0], dims[1]
+		if r > MaxNodes/c {
+			return nil, fmt.Errorf("graph: spec %q exceeds MaxNodes (%d, the 32-bit NodeID space)", spec, MaxNodes)
+		}
+		if err := checkSize(spec, r*c, 1, int64(r)*int64(c-1)+int64(c)*int64(r-1)); err != nil {
+			return nil, err
+		}
+		return Grid(r, c), nil
 	case "grid3d":
 		dims, err := specDims(spec, args, 3)
 		if err != nil {
@@ -64,7 +83,14 @@ func FromSpec(spec string) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		return RandomConnected(kv["n"], kv["m"], uint64(kv["seed"])), nil
+		n, m := kv["n"], kv["m"]
+		if err := checkSize(spec, n, 1, int64(m)); err != nil {
+			return nil, err
+		}
+		if m < n-1 {
+			return nil, fmt.Errorf("graph: spec %q: a connected graph on n=%d nodes needs m >= %d edges", spec, n, n-1)
+		}
+		return RandomConnected(n, m, uint64(kv["seed"])), nil
 	case "pa":
 		kv, err := specKV(spec, args, "n", "m", "seed")
 		if err != nil {
@@ -82,7 +108,23 @@ func FromSpec(spec string) (*Graph, error) {
 	}
 }
 
-// specDims parses "AxBxC"-style dimension lists of exactly want entries.
+// checkSize rejects a node count below minN or beyond MaxNodes, and an
+// edge count beyond MaxEdges.
+func checkSize(spec string, n, minN int, edges int64) error {
+	if n < minN {
+		return fmt.Errorf("graph: spec %q: needs at least %d nodes, got %d", spec, minN, n)
+	}
+	if n > MaxNodes {
+		return fmt.Errorf("graph: spec %q: %d nodes exceed MaxNodes (%d, the 32-bit NodeID space)", spec, n, MaxNodes)
+	}
+	if edges > MaxEdges {
+		return fmt.Errorf("graph: spec %q: %d edges exceed MaxEdges (%d, the 32-bit LinkID space)", spec, edges, MaxEdges)
+	}
+	return nil
+}
+
+// specDims parses "AxBxC"-style dimension lists of exactly want entries,
+// each at least 1.
 func specDims(spec, args string, want int) ([]int, error) {
 	parts := strings.Split(args, "x")
 	if len(parts) != want {
@@ -93,6 +135,9 @@ func specDims(spec, args string, want int) ([]int, error) {
 		v, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("graph: spec %q: bad dimension %q", spec, p)
+		}
+		if v < 1 {
+			return nil, fmt.Errorf("graph: spec %q: dimension %d must be at least 1", spec, v)
 		}
 		dims[i] = v
 	}

@@ -224,25 +224,6 @@ func (a *Arena) Release(s Seg) {
 	a.mu.Unlock()
 }
 
-// ReleaseAll releases a batch of segments under one lock acquisition —
-// the async engine's speculative rollback path returns every rejected
-// event's sent segments wholesale. Zero Segs are skipped; the same
-// single-release ownership rules apply to each element.
-func (a *Arena) ReleaseAll(segs []Seg) {
-	if len(segs) == 0 {
-		return
-	}
-	a.mu.Lock()
-	for _, s := range segs {
-		if s.n == 0 {
-			continue
-		}
-		a.free[class(int(s.n))] = append(a.free[class(int(s.n))], s.off)
-		a.live--
-	}
-	a.mu.Unlock()
-}
-
 // Stats reports how many Alloc calls carved fresh storage and how many
 // were served from the free lists.
 func (a *Arena) Stats() (carves, recycles uint64) {

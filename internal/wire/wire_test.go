@@ -236,7 +236,7 @@ func TestArenaOversizeBoundaryClass(t *testing.T) {
 	}
 }
 
-func TestArenaLiveAndReleaseAll(t *testing.T) {
+func TestArenaLive(t *testing.T) {
 	var a Arena
 	if a.Live() != 0 {
 		t.Fatalf("fresh arena live = %d", a.Live())
@@ -253,17 +253,17 @@ func TestArenaLiveAndReleaseAll(t *testing.T) {
 	if a.Live() != 4 {
 		t.Fatalf("live after one release = %d", a.Live())
 	}
-	// ReleaseAll skips zero Segs and releases the rest under one lock.
-	a.ReleaseAll([]Seg{segs[0], {}, segs[1], {}})
+	a.Release(segs[0])
+	a.Release(Seg{}) // zero Segs are a no-op
+	a.Release(segs[1])
 	if a.Live() != 2 {
-		t.Fatalf("live after batch release = %d", a.Live())
+		t.Fatalf("live after three releases = %d", a.Live())
 	}
 	// Released storage must actually be recycled.
 	s, _ := a.Alloc(8)
 	if s.off != segs[1].off && s.off != segs[0].off && s.off != segs[4].off {
-		t.Fatalf("batch-released segment not recycled (off %d)", s.off)
+		t.Fatalf("released segment not recycled (off %d)", s.off)
 	}
-	a.ReleaseAll(nil) // must not panic
 	a.Reset()
 	if a.Live() != 0 {
 		t.Fatalf("live after Reset = %d", a.Live())
