@@ -19,51 +19,57 @@ type Module interface {
 // the module registered for its Proto tag. The paper's algorithms are
 // stacks of subroutines (covers, registration, gather, BFS, synchronizer
 // core) sharing the same physical links; Mux is how one node hosts them.
+// A stack registers a handful of protos, so dispatch scans them.
 type Mux struct {
-	modules map[Proto]Module
-	order   []Proto
+	protos []Proto  // registration order
+	mods   []Module // mods[i] serves protos[i]
 }
 
 var _ Handler = (*Mux)(nil)
 
 // NewMux returns an empty Mux.
-func NewMux() *Mux {
-	return &Mux{modules: make(map[Proto]Module)}
-}
+func NewMux() *Mux { return &Mux{} }
 
 // Register attaches mod to proto p. Registering the same proto twice panics.
 func (x *Mux) Register(p Proto, mod Module) {
-	if _, dup := x.modules[p]; dup {
+	if x.Module(p) != nil {
 		panic(fmt.Sprintf("async: proto %d registered twice", p))
 	}
-	x.modules[p] = mod
-	x.order = append(x.order, p)
+	x.protos = append(x.protos, p)
+	x.mods = append(x.mods, mod)
 }
 
 // Module returns the module registered for p, or nil.
-func (x *Mux) Module(p Proto) Module { return x.modules[p] }
+func (x *Mux) Module(p Proto) Module {
+	for i, q := range x.protos {
+		if q == p {
+			return x.mods[i]
+		}
+	}
+	return nil
+}
 
 // Init implements Handler: starts modules in registration order.
 func (x *Mux) Init(n *Node) {
-	for _, p := range x.order {
-		x.modules[p].Start(n)
+	for _, mod := range x.mods {
+		mod.Start(n)
 	}
 }
 
 // Recv implements Handler.
 func (x *Mux) Recv(n *Node, from graph.NodeID, m Msg) {
-	mod := x.modules[m.Proto]
-	if mod == nil {
-		panic(fmt.Sprintf("async: node %d got message for unregistered proto %d", n.ID(), m.Proto))
-	}
-	mod.Recv(n, from, m)
+	x.route(n, m.Proto, "message").Recv(n, from, m)
 }
 
 // Ack implements Handler.
 func (x *Mux) Ack(n *Node, to graph.NodeID, m Msg) {
-	mod := x.modules[m.Proto]
-	if mod == nil {
-		panic(fmt.Sprintf("async: node %d got ack for unregistered proto %d", n.ID(), m.Proto))
+	x.route(n, m.Proto, "ack").Ack(n, to, m)
+}
+
+// route returns the module registered for p; an unregistered p panics.
+func (x *Mux) route(n *Node, p Proto, what string) Module {
+	if mod := x.Module(p); mod != nil {
+		return mod
 	}
-	mod.Ack(n, to, m)
+	panic(fmt.Sprintf("async: node %d got %s for unregistered proto %d", n.ID(), what, p))
 }

@@ -2,6 +2,7 @@ package async
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -37,19 +38,11 @@ var (
 // per instance — a module registered under several protos (the
 // synchronizer core owns both ProtoAlgo and ProtoTree) serializes once.
 func (x *Mux) eachUniqueModule(fn func(p Proto, mod Module) bool) {
-	for i, p := range x.order {
-		mod := x.modules[p]
-		dup := false
-		for _, q := range x.order[:i] {
-			if x.modules[q] == mod {
-				dup = true
-				break
-			}
-		}
-		if dup {
+	for i, mod := range x.mods {
+		if slices.Contains(x.mods[:i], mod) {
 			continue
 		}
-		if !fn(p, mod) {
+		if !fn(x.protos[i], mod) {
 			return
 		}
 	}

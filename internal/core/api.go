@@ -57,9 +57,11 @@ type captureAPI struct {
 var _ syncrun.API = (*captureAPI)(nil)
 
 // newAPI binds one pulse evaluation (or the Init capture) of the embedded
-// algorithm to a fresh congest epoch.
+// algorithm to a fresh congest epoch. Evaluations never nest, so every
+// one reuses the core's adapter.
 func (c *nodeCore) newAPI(n *async.Node, vn *vnode, capture bool) *captureAPI {
-	return &captureAPI{n: n, core: c, vn: vn, capture: capture, epoch: c.cs.begin(n.Degree())}
+	c.api = captureAPI{n: n, core: c, vn: vn, capture: capture, epoch: c.cs.begin(n.Degree())}
+	return &c.api
 }
 
 func (a *captureAPI) ID() graph.NodeID            { return a.n.ID() }

@@ -31,7 +31,8 @@ func TestSynchronizeFaultMode(t *testing.T) {
 }
 
 // TestWatchdogVerdicts: a fault-free run must never read as stalled; a
-// run whose retransmit budget is exhausted early must.
+// run whose retransmit budget is exhausted early must. The pulse frontiers
+// are pinned: every node's highest created vnode, -1 for none.
 func TestWatchdogVerdicts(t *testing.T) {
 	g := graph.Grid(5, 6)
 	bound := g.Diameter() + 2
@@ -44,6 +45,7 @@ func TestWatchdogVerdicts(t *testing.T) {
 	if rep.Nodes != g.N() || rep.Outputs != len(res.Outputs) {
 		t.Fatalf("report miscounted: %+v vs %d outputs", rep, len(res.Outputs))
 	}
+	checkFrontier(t, rep, 2, 10, 27)
 
 	fs := &async.FaultSchedule{Seed: 5, DropP: 0.4, Budget: 0}
 	res, rep = SynchronizeWatched(Config{Graph: g, Bound: bound,
@@ -56,6 +58,25 @@ func TestWatchdogVerdicts(t *testing.T) {
 	}
 	if rep.Undeliverable != res.Undeliverable {
 		t.Fatalf("report undeliverable %d != result %d", rep.Undeliverable, res.Undeliverable)
+	}
+	checkFrontier(t, rep, -1, -1, 0) // starved before any pulse-0 release
+
+	// Two lost messages leave a ragged frontier: some nodes never got
+	// past the barriers, others reached pulse 4.
+	fs = &async.FaultSchedule{Seed: 1, DropP: 0.002, Budget: 0}
+	_, rep = SynchronizeWatched(Config{Graph: g, Bound: bound,
+		Adversary: async.WithFaults(async.SeededRandom{Seed: 6}, fs)}, mk)
+	if !rep.IsStalled() {
+		t.Fatalf("ragged stall not flagged: %+v", rep)
+	}
+	checkFrontier(t, rep, -1, 4, 18)
+}
+
+func checkFrontier(t *testing.T, rep StallReport, minPulse, maxPulse, stalled int) {
+	t.Helper()
+	if rep.MinPulse != minPulse || rep.MaxPulse != maxPulse || rep.StalledCount != stalled {
+		t.Fatalf("frontier min=%d max=%d stalled=%d, want %d/%d/%d",
+			rep.MinPulse, rep.MaxPulse, rep.StalledCount, minPulse, maxPulse, stalled)
 	}
 }
 

@@ -164,11 +164,11 @@ func NewNodeHandler(sched *Schedule, layered *cover.Layered, algo syncrun.Handle
 		sched:       sched,
 		layered:     layered,
 		algo:        algo,
-		regMods:     make(map[int]*reg.Module),
-		barMods:     make(map[int]*gather.Module),
-		vnodes:      make(map[int]*vnode),
-		recvd:       make(map[int][]syncrun.Incoming),
-		recvdClosed: make(map[int]bool),
+		regMods:     make([]*reg.Module, sched.MaxCoverLevel+1),
+		barMods:     make([]*gather.Module, sched.MaxCoverLevel+1),
+		vnodes:      make([]*vnode, sched.B+1),
+		recvd:       make([][]syncrun.Incoming, sched.B+1),
+		recvdClosed: make([]bool, sched.B+1),
 	}
 	mux := async.NewMux()
 	mux.Register(ProtoAlgo, c)

@@ -29,10 +29,10 @@ type Schedule struct {
 	// convergecasts a virtual node of pulse π participates in (beyond its
 	// own creation report for q = π).
 	tracked [][]int
-	// regAt[π<<32|q] lists sessions p (1 <= p <= B, prev(p) = q,
-	// prev2(p) = π) that a virtual node of pulse π must register for when
-	// its q-status resolves ready. Empty for originator pulses (barriers).
-	regAt map[int64][]int
+	// regAt[q] lists sessions p (1 <= p <= B, prev(p) = q, prev2(p) >= 1)
+	// that a virtual node of pulse prev(q) must register for when its
+	// q-status resolves ready. Originator pulses (barriers) are absent.
+	regAt [][]int
 	// barrier lists pulses p in [1, B] with prev2(p) = 0, ascending: their
 	// registration uses the §4.2 convergecast barriers at the originators.
 	barrier []int
@@ -52,7 +52,7 @@ func NewSchedule(b int) *Schedule {
 	s := &Schedule{
 		B:          b,
 		tracked:    make([][]int, b+1),
-		regAt:      make(map[int64][]int),
+		regAt:      make([][]int, b+1),
 		isBarrier:  make([]bool, b+1),
 		coverLevel: make([]int, b+1),
 	}
@@ -66,8 +66,7 @@ func NewSchedule(b int) *Schedule {
 			s.isBarrier[p] = true
 		} else {
 			q := pulse.Prev(p)
-			k := regKey(p2, q)
-			s.regAt[k] = append(s.regAt[k], p)
+			s.regAt[q] = append(s.regAt[q], p)
 		}
 		s.coverLevel[p] = pulse.CoverLevel(p)
 		if s.coverLevel[p] > s.MaxCoverLevel {
@@ -76,8 +75,6 @@ func NewSchedule(b int) *Schedule {
 	}
 	return s
 }
-
-func regKey(pi, q int) int64 { return int64(pi)<<32 | int64(q) }
 
 // Tracked returns the safety convergecasts for a virtual node of pulse π,
 // ascending. Do not mutate.
@@ -91,7 +88,10 @@ func (s *Schedule) Tracked(pi int) []int {
 // RegisterSessions returns the sessions a virtual node of pulse π must
 // join when its q-status resolves ready. Do not mutate.
 func (s *Schedule) RegisterSessions(pi, q int) []int {
-	return s.regAt[regKey(pi, q)]
+	if pulse.Prev(q) != pi {
+		return nil
+	}
+	return s.regAt[q]
 }
 
 // Barrier returns the originator pulses (prev2 = 0), ascending. Do not

@@ -85,51 +85,6 @@ func loadIncoming(d *wire.Dec) []syncrun.Incoming {
 	return batch
 }
 
-func sortedInts[T any](m map[int]T) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-func saveIntSet(e *wire.Enc, set map[int]bool) {
-	keys := sortedInts(set)
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e.Int(k)
-	}
-}
-
-func loadIntSet(d *wire.Dec) map[int]bool {
-	n := int(d.U32())
-	set := make(map[int]bool, n)
-	for i := 0; i < n && !d.Failed(); i++ {
-		set[d.Int()] = true
-	}
-	return set
-}
-
-func saveIntCounts(e *wire.Enc, m map[int]int) {
-	keys := sortedInts(m)
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e.Int(k)
-		e.Int(m[k])
-	}
-}
-
-func loadIntCounts(d *wire.Dec) map[int]int {
-	n := int(d.U32())
-	m := make(map[int]int, n)
-	for i := 0; i < n && !d.Failed(); i++ {
-		k := d.Int()
-		m[k] = d.Int()
-	}
-	return m
-}
-
 func saveNodeList(e *wire.Enc, ids []graph.NodeID) {
 	e.U32(uint32(len(ids)))
 	for _, v := range ids {
@@ -164,23 +119,23 @@ func (c *nodeCore) SaveState(e *wire.Enc) {
 	}
 	e.Int(c.barrierRegWait)
 
-	pulses := sortedInts(c.vnodes)
-	e.U32(uint32(len(pulses)))
-	for _, p := range pulses {
+	for p, v := range c.vnodes {
+		if v == nil && c.recvd[p] == nil && !c.recvdClosed[p] {
+			continue
+		}
 		e.Int(p)
-		saveVnode(e, c.vnodes[p])
-	}
-
-	batches := sortedInts(c.recvd)
-	e.U32(uint32(len(batches)))
-	for _, p := range batches {
-		e.Int(p)
+		e.Bool(v != nil)
+		if v != nil {
+			saveVnode(e, v)
+		}
 		saveIncoming(e, c.recvd[p])
+		e.Bool(c.recvdClosed[p])
 	}
-	saveIntSet(e, c.recvdClosed)
+	e.Int(-1)
 }
 
-// LoadState implements wire.StateCodec.
+// LoadState implements wire.StateCodec. Pulses must be ascending, within
+// the schedule's bound, and end with -1.
 func (c *nodeCore) LoadState(d *wire.Dec) {
 	loadAlgoState(d, c.algo)
 	c.started = d.Bool()
@@ -195,34 +150,30 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 	}
 	c.barrierRegWait = d.Int()
 
-	nVnodes := int(d.U32())
-	c.vnodes = make(map[int]*vnode, nVnodes)
-	for i := 0; i < nVnodes && !d.Failed(); i++ {
+	clear(c.vnodes)
+	clear(c.recvd)
+	clear(c.recvdClosed)
+	for prev := -1; !d.Failed(); {
 		p := d.Int()
-		v := loadVnode(d)
-		if !d.Failed() {
-			if v.pulse != p {
-				d.Fail("core: vnode keyed %d carries pulse %d", p, v.pulse)
-				return
-			}
-			c.vnodes[p] = v
+		if d.Failed() || p == -1 {
+			return
 		}
-	}
-
-	nBatches := int(d.U32())
-	c.recvd = make(map[int][]syncrun.Incoming, nBatches)
-	for i := 0; i < nBatches && !d.Failed(); i++ {
-		p := d.Int()
-		batch := loadIncoming(d)
-		if !d.Failed() {
-			c.recvd[p] = batch
+		if p <= prev || p > c.sched.B {
+			d.Fail("core: pulse %d after %d is out of order or outside [0,%d]", p, prev, c.sched.B)
+			return
 		}
+		prev = p
+		if d.Bool() {
+			c.vnodes[p] = loadVnode(d, c.sched, p)
+		}
+		c.recvd[p] = loadIncoming(d)
+		c.recvdClosed[p] = d.Bool()
 	}
-	c.recvdClosed = loadIntSet(d)
 }
 
+// saveVnode writes the vnode's fields, its q-states in Schedule.Tracked
+// order (the pulse, saved by the caller, fixes that layout).
 func saveVnode(e *wire.Enc, v *vnode) {
-	e.Int(v.pulse)
 	e.I32(int32(v.parentPhys))
 	e.Bool(v.parentSelf)
 	e.Bool(v.hasParent)
@@ -231,59 +182,47 @@ func saveVnode(e *wire.Enc, v *vnode) {
 	e.Int(v.outstandingReplies)
 	saveNodeList(e, v.childPhys)
 	e.Bool(v.selfChild)
-
-	qs := sortedInts(v.q)
-	e.U32(uint32(len(qs)))
-	for _, q := range qs {
-		st := v.q[q]
-		e.Int(st.q)
-		e.Int(st.reports)
+	for i := range v.q {
+		st := &v.q[i]
+		e.I32(st.reports)
 		e.Bool(st.anyReady)
 		e.Bool(st.resolved)
 		e.Bool(st.ready)
 		e.Bool(st.forwarded)
-		e.Int(st.gateOutstanding)
+		e.I32(st.gateOutstanding)
 		saveNodeList(e, st.readyPhys)
 		e.Bool(st.readySelf)
+		e.I32(st.regOutstanding)
+		e.Bool(st.registered)
+		e.I32(st.gaOutstanding)
 	}
-	saveIntCounts(e, v.regOutstanding)
-	saveIntSet(e, v.registered)
-	saveIntCounts(e, v.gaOutstanding)
 }
 
-func loadVnode(d *wire.Dec) *vnode {
-	v := &vnode{
-		pulse:              d.Int(),
-		parentPhys:         graph.NodeID(d.I32()),
-		parentSelf:         d.Bool(),
-		hasParent:          d.Bool(),
-		evaluated:          d.Bool(),
-		sentAny:            d.Bool(),
-		outstandingReplies: d.Int(),
-		childPhys:          loadNodeList(d),
-		selfChild:          d.Bool(),
+// loadVnode reads the vnode of pulse p (already read and range-checked).
+func loadVnode(d *wire.Dec, s *Schedule, p int) *vnode {
+	v := newVnode(s, p)
+	v.parentPhys = graph.NodeID(d.I32())
+	v.parentSelf = d.Bool()
+	v.hasParent = d.Bool()
+	v.evaluated = d.Bool()
+	v.sentAny = d.Bool()
+	v.outstandingReplies = d.Int()
+	v.childPhys = loadNodeList(d)
+	v.selfChild = d.Bool()
+	for i := range v.q {
+		st := &v.q[i]
+		st.reports = d.I32()
+		st.anyReady = d.Bool()
+		st.resolved = d.Bool()
+		st.ready = d.Bool()
+		st.forwarded = d.Bool()
+		st.gateOutstanding = d.I32()
+		st.readyPhys = loadNodeList(d)
+		st.readySelf = d.Bool()
+		st.regOutstanding = d.I32()
+		st.registered = d.Bool()
+		st.gaOutstanding = d.I32()
 	}
-	nQ := int(d.U32())
-	v.q = make(map[int]*qstate, nQ)
-	for i := 0; i < nQ && !d.Failed(); i++ {
-		st := &qstate{
-			q:               d.Int(),
-			reports:         d.Int(),
-			anyReady:        d.Bool(),
-			resolved:        d.Bool(),
-			ready:           d.Bool(),
-			forwarded:       d.Bool(),
-			gateOutstanding: d.Int(),
-			readyPhys:       loadNodeList(d),
-			readySelf:       d.Bool(),
-		}
-		if !d.Failed() {
-			v.q[st.q] = st
-		}
-	}
-	v.regOutstanding = loadIntCounts(d)
-	v.registered = loadIntSet(d)
-	v.gaOutstanding = loadIntCounts(d)
 	return v
 }
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/async"
 	"repro/internal/cover"
@@ -21,18 +22,24 @@ type nodeCore struct {
 	layered *cover.Layered
 	algo    syncrun.Handler
 
-	regMods map[int]*reg.Module
-	barMods map[int]*gather.Module
+	// Registration and barrier modules, indexed by cover level (nil
+	// below level 5).
+	regMods []*reg.Module
+	barMods []*gather.Module
 
-	vnodes      map[int]*vnode
-	recvd       map[int][]syncrun.Incoming
-	recvdClosed map[int]bool
+	// Per-pulse state, indexed by pulse 0..B: the vnode (nil until
+	// created), the algorithm messages received at that pulse, and whether
+	// Go-Ahead(pulse+1) closed that batch.
+	vnodes      []*vnode
+	recvd       [][]syncrun.Incoming
+	recvdClosed []bool
 
 	started        bool
 	originator     bool
 	initSends      []capturedSend
 	barrierRegWait int
 	cs             congestStamp
+	api            captureAPI
 }
 
 type capturedSend struct {
@@ -186,13 +193,8 @@ func (c *nodeCore) afterAnswersMaybe(n *async.Node, v *vnode) {
 	if !v.answersDone() {
 		return
 	}
-	qs := make([]int, 0, len(v.q))
-	for q := range v.q {
-		qs = append(qs, q)
-	}
-	sort.Ints(qs)
-	for _, q := range qs {
-		c.tryResolve(n, v, v.q[q])
+	for i := range v.q {
+		c.tryResolve(n, v, &v.q[i])
 	}
 }
 
@@ -214,10 +216,10 @@ func (c *nodeCore) onChildStatus(n *async.Node, v *vnode, s statusMsg, fromPhys 
 // are all in, then performs the §4.1.2 actions: deregister (consumer),
 // register-and-gate (prev(q) pulse), and forward the report.
 func (c *nodeCore) tryResolve(n *async.Node, v *vnode, qs *qstate) {
-	if qs.resolved || !v.answersDone() || qs.reports < v.childCount() {
+	if qs.resolved || !v.answersDone() || int(qs.reports) < v.childCount() {
 		return
 	}
-	if qs.reports > v.childCount() {
+	if int(qs.reports) > v.childCount() {
 		panic(fmt.Sprintf("core: node %d pulse %d got %d reports for %d children (q=%d)",
 			n.ID(), v.pulse, qs.reports, v.childCount(), qs.q))
 	}
@@ -230,7 +232,7 @@ func (c *nodeCore) tryResolve(n *async.Node, v *vnode, qs *qstate) {
 	}
 	sessions := c.sched.RegisterSessions(v.pulse, qs.q)
 	if qs.ready && len(sessions) > 0 {
-		qs.gateOutstanding = len(sessions)
+		qs.gateOutstanding = int32(len(sessions))
 		for _, p := range sessions {
 			c.registerSession(n, v, p)
 		}
@@ -246,7 +248,7 @@ func (c *nodeCore) registerSession(n *async.Node, v *vnode, p int) {
 	if len(ids) == 0 {
 		panic(fmt.Sprintf("core: node %d is in no cluster at level %d", n.ID(), lvl))
 	}
-	v.regOutstanding[p] = len(ids)
+	v.qstate(p).regOutstanding = int32(len(ids))
 	for _, cid := range ids {
 		c.regMods[lvl].Register(n, cid, p)
 	}
@@ -264,7 +266,7 @@ func (c *nodeCore) consumeStatus(n *async.Node, v *vnode, qs *qstate) {
 		c.barMods[c.sched.CoverLevel(q)].MarkDone(n, barrierDeregSession(q))
 		return
 	}
-	if !v.registered[q] {
+	if !qs.registered {
 		// Never registered: prev(q) was empty below us, so q is too; no
 		// Go-Ahead is owed to this subtree.
 		if qs.ready {
@@ -274,7 +276,7 @@ func (c *nodeCore) consumeStatus(n *async.Node, v *vnode, qs *qstate) {
 	}
 	lvl := c.sched.CoverLevel(q)
 	ids := c.layered.Level(lvl).MemberOf(n.ID())
-	v.gaOutstanding[q] = len(ids)
+	qs.gaOutstanding = int32(len(ids))
 	for _, cid := range ids {
 		c.regMods[lvl].Deregister(n, cid, q)
 	}
@@ -326,8 +328,9 @@ func (c *nodeCore) evaluate(n *async.Node, v *vnode) {
 	v.evaluated = true
 	p := v.pulse
 	batch := c.recvd[p-1]
+	c.recvd[p-1] = nil
 	c.recvdClosed[p-1] = true
-	sort.Slice(batch, func(i, j int) bool { return batch[i].From < batch[j].From })
+	slices.SortFunc(batch, func(a, b syncrun.Incoming) int { return cmp.Compare(a.From, b.From) })
 	api := c.newAPI(n, v, false)
 	c.algo.Pulse(api, p, batch)
 	if v.sentAny {
@@ -345,11 +348,12 @@ func (c *nodeCore) evaluate(n *async.Node, v *vnode) {
 // confirmed; when the last does, the gated q-report is released.
 func (c *nodeCore) Registered(n *async.Node, _ cover.ClusterID, session int) {
 	v := c.vnodes[prevPrev(session)]
-	v.regOutstanding[session]--
-	if v.regOutstanding[session] > 0 {
+	ss := v.qstate(session)
+	ss.regOutstanding--
+	if ss.regOutstanding > 0 {
 		return
 	}
-	v.registered[session] = true
+	ss.registered = true
 	qs := v.qstate(prevOf(session))
 	qs.gateOutstanding--
 	if qs.gateOutstanding == 0 {
@@ -361,8 +365,9 @@ func (c *nodeCore) Registered(n *async.Node, _ cover.ClusterID, session int) {
 // session; when the last arrives, GA(session) flows down the forest.
 func (c *nodeCore) GoAhead(n *async.Node, _ cover.ClusterID, session int) {
 	v := c.vnodes[prevPrev(session)]
-	v.gaOutstanding[session]--
-	if v.gaOutstanding[session] > 0 {
+	ss := v.qstate(session)
+	ss.gaOutstanding--
+	if ss.gaOutstanding > 0 {
 		return
 	}
 	c.propagateGA(n, v, session)

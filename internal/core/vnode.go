@@ -32,13 +32,10 @@ type vnode struct {
 	// selfChild: (v, π+1) exists with this vnode as parent.
 	selfChild bool
 
-	// q holds one safety-convergecast state per tracked pulse.
-	q map[int]*qstate
-
-	// Wave-registration bookkeeping (consumer/gate pulses only).
-	regOutstanding map[int]int  // session -> clusters awaiting Registered
-	registered     map[int]bool // session -> fully registered
-	gaOutstanding  map[int]int  // session -> clusters awaiting GoAhead
+	// q holds one safety-convergecast state per tracked pulse, aligned
+	// with Schedule.Tracked(pulse) (ascending). It never resizes, so a
+	// *qstate stays valid across re-entrant callbacks.
+	q []qstate
 }
 
 // qstate tracks the q-status convergecast at one vnode: resolved when the
@@ -47,28 +44,29 @@ type vnode struct {
 // report semantics of §4.1.2, everything of pulse < q in it is safe).
 type qstate struct {
 	q               int
-	reports         int
+	reports         int32
+	gateOutstanding int32 // sessions still registering before forwarding
 	anyReady        bool
 	resolved        bool
 	ready           bool
 	forwarded       bool
-	gateOutstanding int // sessions still registering before forwarding
-	// GA routing: children that reported q-ready.
-	readyPhys []graph.NodeID
+	// GA routing: whether the self child and which neighbors reported
+	// q-ready (readyPhys).
 	readySelf bool
+	// Wave registration of session q, owned by the vnode of pulse
+	// prev2(q): whether every cluster confirmed, clusters awaiting
+	// Registered, and clusters awaiting GoAhead.
+	registered     bool
+	regOutstanding int32
+	gaOutstanding  int32
+	readyPhys      []graph.NodeID
 }
 
 func newVnode(s *Schedule, p int) *vnode {
-	v := &vnode{
-		pulse:          p,
-		parentPhys:     -1,
-		q:              make(map[int]*qstate),
-		regOutstanding: make(map[int]int),
-		registered:     make(map[int]bool),
-		gaOutstanding:  make(map[int]int),
-	}
-	for _, q := range s.Tracked(p) {
-		v.q[q] = &qstate{q: q}
+	tracked := s.Tracked(p)
+	v := &vnode{pulse: p, parentPhys: -1, q: make([]qstate, len(tracked))}
+	for i, q := range tracked {
+		v.q[i].q = q
 	}
 	return v
 }
@@ -90,9 +88,16 @@ func (v *vnode) childCount() int {
 }
 
 func (v *vnode) qstate(q int) *qstate {
-	qs := v.q[q]
-	if qs == nil {
-		panic(fmt.Sprintf("core: vnode pulse %d has no q-state for %d", v.pulse, q))
+	lo, hi := 0, len(v.q)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); v.q[mid].q < q {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return qs
+	if lo < len(v.q) && v.q[lo].q == q {
+		return &v.q[lo]
+	}
+	panic(fmt.Sprintf("core: vnode pulse %d has no q-state for %d", v.pulse, q))
 }

@@ -64,11 +64,9 @@ func watchdogReport(sim *async.Sim, res *async.Result, bound int) StallReport {
 		if !ok {
 			continue
 		}
-		p := -1
-		for q := range nc.vnodes {
-			if q > p {
-				p = q
-			}
+		p := len(nc.vnodes) - 1
+		for p >= 0 && nc.vnodes[p] == nil {
+			p--
 		}
 		pulses = append(pulses, p)
 		ids = append(ids, id)

@@ -9,6 +9,7 @@ package cover
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/decomp"
@@ -55,6 +56,20 @@ func (c *Cluster) ChildrenOf(v graph.NodeID) []graph.NodeID {
 	return c.Tree.ChildrenOf(v)
 }
 
+// ChildPos returns ch's position in ChildrenOf(v), or -1 when ch is not a
+// tree child of v.
+func (c *Cluster) ChildPos(v, ch graph.NodeID) int {
+	return position(c.ChildrenOf(v), ch)
+}
+
+// position binary-searches an ascending slice; -1 when x is absent.
+func position[T graph.NodeID | ClusterID](s []T, x T) int {
+	if i, ok := slices.BinarySearch(s, x); ok {
+		return i
+	}
+	return -1
+}
+
 // Cover is a sparse d-cover: a set of clusters such that every node is in
 // O(log n) clusters and every node's d-ball is fully inside at least one
 // cluster.
@@ -87,6 +102,15 @@ func (c *Cover) MemberOf(v graph.NodeID) []ClusterID { return c.memberOf[v] }
 // TreeOf returns the clusters whose tree v participates in, ascending by
 // id. Do not mutate.
 func (c *Cover) TreeOf(v graph.NodeID) []ClusterID { return c.treeOf[v] }
+
+// TreePos returns id's position in TreeOf(v), or -1 when v is not in the
+// cluster's tree. Per-node protocol state indexes clusters by it.
+func (c *Cover) TreePos(v graph.NodeID, id ClusterID) int {
+	return position(c.treeOf[v], id)
+}
+
+// N returns the number of nodes of the covered graph.
+func (c *Cover) N() int { return len(c.treeOf) }
 
 // Home returns a cluster whose member set contains every node within
 // distance D of v (the strengthened covering property of Definition 2.1).

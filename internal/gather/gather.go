@@ -15,6 +15,7 @@ package gather
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/async"
 	"repro/internal/cover"
@@ -44,34 +45,42 @@ func decPayload(b wire.Body) (cover.ClusterID, int) {
 	return cover.ClusterID(b.A), int(b.B)
 }
 
+// clusterState is one (cluster, session) convergecast at this node.
 type clusterState struct {
 	began     bool
 	localDone bool
-	childDone map[graph.NodeID]bool
 	reported  bool
 	confirmed bool
+	// childDone is indexed by the child's position in ChildrenOf(me).
+	childDone []bool
 }
 
-type nodeSession struct {
+// slot is one session at this node: the callback state plus one
+// convergecast per cluster tree the node is in, indexed by the cluster's
+// position in cov.TreeOf(me). A slot neither moves nor resizes once
+// created, so a *slot or *clusterState held across a callback stays valid
+// when the callback re-enters the module and opens another session.
+type slot struct {
+	id        int
 	began     bool
 	markedAll bool
 	confirmed int  // clusters containing me that confirmed
 	fired     bool // callback delivered
-}
-
-type key struct {
-	c cover.ClusterID
-	s int
+	clusters  []clusterState
 }
 
 // Module is the per-node gather engine for one cover.
 type Module struct {
-	proto    async.Proto
-	cov      *cover.Cover
-	cb       Callbacks
-	stageOf  func(session int) int
-	states   map[key]*clusterState
-	sessions map[int]*nodeSession
+	proto   async.Proto
+	cov     *cover.Cover
+	cb      Callbacks
+	stageOf func(session int) int
+	me      graph.NodeID // this node, known once the first slot exists
+	slots   []*slot      // in creation order
+	// Slot storage, carved by wire.Carve.
+	spareSlots  []slot
+	spareStates []clusterState
+	spareFlags  []bool
 }
 
 var _ async.Module = (*Module)(nil)
@@ -82,14 +91,7 @@ func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) in
 	if stageOf == nil {
 		stageOf = func(int) int { return 0 }
 	}
-	return &Module{
-		proto:    proto,
-		cov:      cov,
-		cb:       cb,
-		stageOf:  stageOf,
-		states:   make(map[key]*clusterState),
-		sessions: make(map[int]*nodeSession),
-	}
+	return &Module{proto: proto, cov: cov, cb: cb, stageOf: stageOf, me: -1}
 }
 
 // Start implements async.Module.
@@ -98,23 +100,44 @@ func (m *Module) Start(*async.Node) {}
 // Ack implements async.Module.
 func (m *Module) Ack(*async.Node, graph.NodeID, async.Msg) {}
 
-func (m *Module) state(c cover.ClusterID, s int) *clusterState {
-	k := key{c: c, s: s}
-	st := m.states[k]
-	if st == nil {
-		st = &clusterState{childDone: make(map[graph.NodeID]bool)}
-		m.states[k] = st
+// find returns the session's slot, or nil. A module holds few sessions
+// and the live ones are the newest, so the scan runs backwards.
+func (m *Module) find(session int) *slot {
+	for i := len(m.slots) - 1; i >= 0; i-- {
+		if m.slots[i].id == session {
+			return m.slots[i]
+		}
 	}
-	return st
+	return nil
 }
 
-func (m *Module) session(s int) *nodeSession {
-	ns := m.sessions[s]
-	if ns == nil {
-		ns = &nodeSession{}
-		m.sessions[s] = ns
+// session returns the session's slot, creating it on first use.
+func (m *Module) session(n *async.Node, session int) *slot {
+	if sl := m.find(session); sl != nil {
+		return sl
 	}
-	return ns
+	m.me = n.ID()
+	sl := m.newSlot(session)
+	m.slots = append(m.slots, sl)
+	return sl
+}
+
+// newSlot lays out a session: one clusterState per tree of m.me, their
+// child flags carved from one shared array.
+func (m *Module) newSlot(session int) *slot {
+	tree := m.cov.TreeOf(m.me)
+	sl := &wire.Carve(&m.spareSlots, 1)[0]
+	sl.id, sl.clusters = session, wire.Carve(&m.spareStates, len(tree))
+	total := 0
+	for _, c := range tree {
+		total += len(m.cov.Cluster(c).ChildrenOf(m.me))
+	}
+	flags := wire.Carve(&m.spareFlags, total)
+	for i, c := range tree {
+		k := len(m.cov.Cluster(c).ChildrenOf(m.me))
+		sl.clusters[i].childDone, flags = flags[:k:k], flags[k:]
+	}
+	return sl
 }
 
 // Begin announces the session at this node: every cluster tree this node
@@ -122,22 +145,22 @@ func (m *Module) session(s int) *nodeSession {
 // as locally done. Idempotent. Every tree participant must eventually call
 // Begin (or MarkDone) for every session, or convergecasts stall.
 func (m *Module) Begin(n *async.Node, session int) {
-	ns := m.session(session)
-	if ns.began {
+	sl := m.session(n, session)
+	if sl.began {
 		return
 	}
-	ns.began = true
-	for _, cid := range m.cov.TreeOf(n.ID()) {
-		st := m.state(cid, session)
+	sl.began = true
+	for i, cid := range m.cov.TreeOf(n.ID()) {
+		st := &sl.clusters[i]
 		st.began = true
 		if !m.cov.Cluster(cid).Has(n.ID()) {
 			st.localDone = true // nonterminals have no process to finish
 		}
-		m.maybeReport(n, cid, session, st)
+		m.maybeReport(n, sl, cid, st)
 	}
 	// A node in no cluster at all has a trivially-done neighborhood.
 	if len(m.cov.MemberOf(n.ID())) == 0 {
-		m.maybeFire(n, session, ns)
+		m.maybeFire(n, sl)
 	}
 }
 
@@ -145,29 +168,38 @@ func (m *Module) Begin(n *async.Node, session int) {
 // finished. Implies Begin.
 func (m *Module) MarkDone(n *async.Node, session int) {
 	m.Begin(n, session)
-	ns := m.session(session)
-	if ns.markedAll {
+	sl := m.find(session)
+	if sl.markedAll {
 		return
 	}
-	ns.markedAll = true
+	sl.markedAll = true
 	for _, cid := range m.cov.MemberOf(n.ID()) {
-		st := m.state(cid, session)
+		st := &sl.clusters[m.cov.TreePos(n.ID(), cid)]
 		st.localDone = true
-		m.maybeReport(n, cid, session, st)
+		m.maybeReport(n, sl, cid, st)
 	}
-	m.maybeFire(n, session, ns)
+	m.maybeFire(n, sl)
 }
 
 // Recv implements async.Module.
 func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
 	c, session := decPayload(msg.Body)
-	st := m.state(c, session)
+	sl := m.session(n, session)
+	i := m.cov.TreePos(n.ID(), c)
+	if i < 0 {
+		panic(fmt.Sprintf("gather: node %d got traffic for cluster %d outside its trees", n.ID(), c))
+	}
+	st := &sl.clusters[i]
 	switch msg.Body.Kind {
 	case kindDoneUp:
-		st.childDone[from] = true
-		m.maybeReport(n, c, session, st)
+		j := m.cov.Cluster(c).ChildPos(n.ID(), from)
+		if j < 0 {
+			panic(fmt.Sprintf("gather: node %d got a report from non-child %d in cluster %d", n.ID(), from, c))
+		}
+		st.childDone[j] = true
+		m.maybeReport(n, sl, c, st)
 	case kindConfirmDown:
-		m.confirm(n, c, session, st)
+		m.confirm(n, sl, c, st)
 	default:
 		panic(fmt.Sprintf("gather: unknown kind %d", msg.Body.Kind))
 	}
@@ -176,65 +208,62 @@ func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
 // maybeReport sends the subtree-done report upward (or starts the
 // confirmation broadcast at the root) once this node is locally done, has
 // begun, and has heard from every tree child.
-func (m *Module) maybeReport(n *async.Node, c cover.ClusterID, session int, st *clusterState) {
+func (m *Module) maybeReport(n *async.Node, sl *slot, c cover.ClusterID, st *clusterState) {
 	if st.reported || !st.began || !st.localDone {
 		return
 	}
-	cl := m.cov.Cluster(c)
-	for _, ch := range cl.ChildrenOf(n.ID()) {
-		if !st.childDone[ch] {
-			return
-		}
+	if slices.Contains(st.childDone, false) {
+		return
 	}
 	st.reported = true
+	cl := m.cov.Cluster(c)
 	if cl.Root == n.ID() {
-		m.confirm(n, c, session, st)
+		m.confirm(n, sl, c, st)
 		return
 	}
 	par, _ := cl.ParentOf(n.ID())
-	n.Send(par, async.Msg{Proto: m.proto, Stage: m.stageOf(session), Body: encPayload(kindDoneUp, c, session)})
+	n.Send(par, async.Msg{Proto: m.proto, Stage: m.stageOf(sl.id), Body: encPayload(kindDoneUp, c, sl.id)})
 }
 
 // confirm marks the cluster complete at this node and forwards the
 // broadcast to tree children.
-func (m *Module) confirm(n *async.Node, c cover.ClusterID, session int, st *clusterState) {
+func (m *Module) confirm(n *async.Node, sl *slot, c cover.ClusterID, st *clusterState) {
 	if st.confirmed {
 		return
 	}
 	st.confirmed = true
 	cl := m.cov.Cluster(c)
 	for _, ch := range cl.ChildrenOf(n.ID()) {
-		n.Send(ch, async.Msg{Proto: m.proto, Stage: m.stageOf(session), Body: encPayload(kindConfirmDown, c, session)})
+		n.Send(ch, async.Msg{Proto: m.proto, Stage: m.stageOf(sl.id), Body: encPayload(kindConfirmDown, c, sl.id)})
 	}
 	if cl.Has(n.ID()) {
-		ns := m.session(session)
-		ns.confirmed++
-		m.maybeFire(n, session, ns)
+		sl.confirmed++
+		m.maybeFire(n, sl)
 	}
 }
 
 // maybeFire delivers NeighborhoodDone when every containing cluster has
 // confirmed and the local process finished (a member's own completion is
 // part of "everyone within distance d is done").
-func (m *Module) maybeFire(n *async.Node, session int, ns *nodeSession) {
-	if ns.fired {
+func (m *Module) maybeFire(n *async.Node, sl *slot) {
+	if sl.fired {
 		return
 	}
 	member := m.cov.MemberOf(n.ID())
-	if len(member) > 0 && (!ns.markedAll || ns.confirmed < len(member)) {
+	if len(member) > 0 && (!sl.markedAll || sl.confirmed < len(member)) {
 		return
 	}
-	if len(member) == 0 && !ns.began {
+	if len(member) == 0 && !sl.began {
 		return
 	}
-	ns.fired = true
-	m.cb.NeighborhoodDone(n, session)
+	sl.fired = true
+	m.cb.NeighborhoodDone(n, sl.id)
 }
 
 // Done reports whether the session's NeighborhoodDone fired at this node.
 func (m *Module) Done(session int) bool {
-	ns := m.sessions[session]
-	return ns != nil && ns.fired
+	sl := m.find(session)
+	return sl != nil && sl.fired
 }
 
 // Chain runs Theorem 3.2's staged gather: stage i learns that the

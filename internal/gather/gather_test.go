@@ -2,6 +2,7 @@ package gather
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/async"
@@ -259,6 +260,104 @@ func TestDoneQuery(t *testing.T) {
 		}
 		if m.Done(99) {
 			t.Fatalf("node %d Done for unknown session", i)
+		}
+	}
+}
+
+// reentrantClient drives an L-stage Chain whose NeighborhoodDone
+// optionally Begins a fresh session on the same module, while the call
+// that fired the callback is still unwinding.
+type reentrantClient struct {
+	log     *[]event
+	mod     *Module
+	chain   *Chain
+	reenter bool
+	flooded bool
+}
+
+const freshBase = 100
+
+func (c *reentrantClient) Start(n *async.Node) {
+	c.chain.Begin(n)
+	if n.ID() == 0 {
+		c.onFlood(n)
+	}
+}
+
+func (c *reentrantClient) Recv(n *async.Node, _ graph.NodeID, m async.Msg) {
+	if m.Proto == protoFlood {
+		c.onFlood(n)
+	}
+}
+
+func (c *reentrantClient) Ack(*async.Node, graph.NodeID, async.Msg) {}
+
+func (c *reentrantClient) onFlood(n *async.Node) {
+	if c.flooded {
+		return
+	}
+	c.flooded = true
+	for _, nb := range n.Neighbors() {
+		n.Send(nb.Node, async.Msg{Proto: protoFlood, Body: wire.Tag(1)})
+	}
+	c.chain.MarkDone(n)
+}
+
+func (c *reentrantClient) NeighborhoodDone(n *async.Node, session int) {
+	*c.log = append(*c.log, event{kind: evDone, node: n.ID(), session: session})
+	if c.reenter {
+		c.mod.Begin(n, freshBase+session)
+	}
+	c.chain.OnNeighborhoodDone(n, session)
+}
+
+// TestGatherReentrantSlots: callbacks re-enter the module that fired
+// them — the chain marks its next stage done, and here every callback
+// also Begins a fresh session — so slots are created while the firing
+// call still holds its own slot and cluster state. Every tree node of
+// this cover is a member, so a session nobody marks done stays silent:
+// the run must complete in exactly the order of a run without the extra
+// Begins, with the same traffic, and no fresh session may fire.
+func TestGatherReentrantSlots(t *testing.T) {
+	g := graph.Grid(7, 7)
+	cov := cover.Build(g, 1, nil)
+	const l = 8
+	run := func(reenter bool) ([]event, async.Result, []*Module) {
+		var log []event
+		var mods []*Module
+		sim := async.New(g, async.SeededRandom{Seed: 3}, func(id graph.NodeID) async.Handler {
+			cl := &reentrantClient{log: &log, reenter: reenter}
+			cl.mod = New(protoGather, cov, cl, nil)
+			cl.chain = &Chain{Mod: cl.mod, L: l, Base: 0, Final: func(n *async.Node) {
+				log = append(log, event{kind: evMarked, node: n.ID()})
+				n.Output(true)
+			}}
+			mods = append(mods, cl.mod)
+			mux := async.NewMux()
+			mux.Register(protoGather, cl.mod)
+			mux.Register(protoFlood, cl)
+			return mux
+		})
+		res := sim.Run()
+		if len(res.Outputs) != g.N() {
+			t.Fatalf("reenter=%v: only %d/%d nodes finished the chain", reenter, len(res.Outputs), g.N())
+		}
+		return log, res, mods
+	}
+	wantLog, wantRes, _ := run(false)
+	gotLog, gotRes, mods := run(true)
+	if !reflect.DeepEqual(gotLog, wantLog) {
+		t.Fatal("re-entrant Begins changed the completion order")
+	}
+	if gotRes.Time != wantRes.Time || !reflect.DeepEqual(gotRes.PerProto, wantRes.PerProto) {
+		t.Fatalf("re-entrant Begins changed the run: time %v msgs %v, want %v %v",
+			gotRes.Time, gotRes.PerProto, wantRes.Time, wantRes.PerProto)
+	}
+	for v, m := range mods {
+		for s := 0; s < l; s++ {
+			if !m.Done(s) || m.Done(freshBase+s) {
+				t.Fatalf("node %d session %d: chain done %v, fresh done %v", v, s, m.Done(s), m.Done(freshBase+s))
+			}
 		}
 	}
 }

@@ -1,100 +1,69 @@
 package gather
 
 import (
-	"sort"
-
-	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/wire"
 )
 
 var _ wire.StateCodec = (*Module)(nil)
 
-// SaveState implements wire.StateCodec: per-(cluster, session) convergecast
-// state plus per-session callback state, both in sorted key order. The
+// SaveState implements wire.StateCodec: the node id, then every session
+// slot in creation order with its convergecasts in TreeOf(me) order. The
 // cover, proto, callbacks, and stage map are constructor-owned and stay
 // out of the frame.
 func (m *Module) SaveState(e *wire.Enc) {
-	keys := make([]key, 0, len(m.states))
-	for k := range m.states {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].c != keys[j].c {
-			return keys[i].c < keys[j].c
+	e.I32(int32(m.me))
+	e.U32(uint32(len(m.slots)))
+	for _, sl := range m.slots {
+		e.Int(sl.id)
+		e.Bool(sl.began)
+		e.Bool(sl.markedAll)
+		e.Int(sl.confirmed)
+		e.Bool(sl.fired)
+		for i := range sl.clusters {
+			st := &sl.clusters[i]
+			e.Bool(st.began)
+			e.Bool(st.localDone)
+			e.Bool(st.reported)
+			e.Bool(st.confirmed)
+			for _, done := range st.childDone {
+				e.Bool(done)
+			}
 		}
-		return keys[i].s < keys[j].s
-	})
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		st := m.states[k]
-		e.I64(int64(k.c))
-		e.Int(k.s)
-		e.Bool(st.began)
-		e.Bool(st.localDone)
-		done := make([]graph.NodeID, 0, len(st.childDone))
-		for ch := range st.childDone {
-			done = append(done, ch)
-		}
-		sort.Slice(done, func(i, j int) bool { return done[i] < done[j] })
-		e.U32(uint32(len(done)))
-		for _, ch := range done {
-			e.I32(int32(ch))
-		}
-		e.Bool(st.reported)
-		e.Bool(st.confirmed)
-	}
-
-	sess := make([]int, 0, len(m.sessions))
-	for s := range m.sessions {
-		sess = append(sess, s)
-	}
-	sort.Ints(sess)
-	e.U32(uint32(len(sess)))
-	for _, s := range sess {
-		ns := m.sessions[s]
-		e.Int(s)
-		e.Bool(ns.began)
-		e.Bool(ns.markedAll)
-		e.Int(ns.confirmed)
-		e.Bool(ns.fired)
 	}
 }
 
-// LoadState implements wire.StateCodec.
+// LoadState implements wire.StateCodec. The slot layout follows from the
+// recorded node id, which must name a node of the cover; session ids must
+// be distinct.
 func (m *Module) LoadState(d *wire.Dec) {
-	nStates := int(d.U32())
-	m.states = make(map[key]*clusterState, nStates)
-	for i := 0; i < nStates && !d.Failed(); i++ {
-		k := key{c: cover.ClusterID(d.I64()), s: d.Int()}
-		st := &clusterState{
-			began:     d.Bool(),
-			localDone: d.Bool(),
-		}
-		nDone := int(d.U32())
-		st.childDone = make(map[graph.NodeID]bool, nDone)
-		for j := 0; j < nDone && !d.Failed(); j++ {
-			st.childDone[graph.NodeID(d.I32())] = true
-		}
-		st.reported = d.Bool()
-		st.confirmed = d.Bool()
-		if !d.Failed() {
-			m.states[k] = st
-		}
+	m.me = graph.NodeID(d.I32())
+	nSlots := int(d.U32())
+	m.slots = nil
+	if nSlots > 0 && !d.Failed() && (m.me < 0 || int(m.me) >= m.cov.N()) {
+		d.Fail("gather: state for node %d outside the cover's %d nodes", m.me, m.cov.N())
 	}
-
-	nSess := int(d.U32())
-	m.sessions = make(map[int]*nodeSession, nSess)
-	for i := 0; i < nSess && !d.Failed(); i++ {
-		s := d.Int()
-		ns := &nodeSession{
-			began:     d.Bool(),
-			markedAll: d.Bool(),
-			confirmed: d.Int(),
-			fired:     d.Bool(),
+	for i := 0; i < nSlots && !d.Failed(); i++ {
+		id := d.Int()
+		if m.find(id) != nil {
+			d.Fail("gather: session %d saved twice", id)
+			return
 		}
-		if !d.Failed() {
-			m.sessions[s] = ns
+		sl := m.newSlot(id)
+		sl.began = d.Bool()
+		sl.markedAll = d.Bool()
+		sl.confirmed = d.Int()
+		sl.fired = d.Bool()
+		for j := range sl.clusters {
+			st := &sl.clusters[j]
+			st.began = d.Bool()
+			st.localDone = d.Bool()
+			st.reported = d.Bool()
+			st.confirmed = d.Bool()
+			for k := range st.childDone {
+				st.childDone[k] = d.Bool()
+			}
 		}
+		m.slots = append(m.slots, sl)
 	}
 }

@@ -23,7 +23,7 @@ package reg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/async"
 	"repro/internal/cover"
@@ -80,18 +80,24 @@ type Callbacks interface {
 	GoAhead(n *async.Node, c cover.ClusterID, session int)
 }
 
-type key struct {
-	c cover.ClusterID
-	s int
+// state is one (cluster, session) registration machine at this node.
+type state struct {
+	local    localState
+	finished bool
+	pending  bool // R(me) invocation in flight to parent
+	upDirty  bool // my view of the edge to my cluster parent
+	invokers []graph.NodeID
+	// childMark is indexed by the child's position in ChildrenOf(me).
+	childMark []edgeMark
 }
 
-type state struct {
-	local     localState
-	finished  bool
-	pending   bool // R(me) invocation in flight to parent
-	upDirty   bool // my view of the edge to my cluster parent
-	invokers  []graph.NodeID
-	childMark map[graph.NodeID]edgeMark
+// slot is one session at this node: one state per cluster tree the node
+// is in, indexed by the cluster's position in cov.TreeOf(me). A slot
+// neither moves nor resizes once created, so a *state held across a
+// callback stays valid when the callback opens another session.
+type slot struct {
+	id     int
+	states []state
 }
 
 // Module is the per-node registration engine for one cover. It implements
@@ -101,7 +107,12 @@ type Module struct {
 	cov     *cover.Cover
 	cb      Callbacks
 	stageOf func(session int) int
-	states  map[key]*state
+	me      graph.NodeID // this node, known once the first slot exists
+	slots   []*slot      // in creation order
+	// Slot storage, carved by wire.Carve.
+	spareSlots  []slot
+	spareStates []state
+	spareMarks  []edgeMark
 }
 
 var _ async.Module = (*Module)(nil)
@@ -112,13 +123,7 @@ func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) in
 	if stageOf == nil {
 		stageOf = func(int) int { return 0 }
 	}
-	return &Module{
-		proto:   proto,
-		cov:     cov,
-		cb:      cb,
-		stageOf: stageOf,
-		states:  make(map[key]*state),
-	}
+	return &Module{proto: proto, cov: cov, cb: cb, stageOf: stageOf, me: -1}
 }
 
 // Start implements async.Module.
@@ -127,17 +132,58 @@ func (m *Module) Start(*async.Node) {}
 // Ack implements async.Module.
 func (m *Module) Ack(*async.Node, graph.NodeID, async.Msg) {}
 
-func (m *Module) state(n *async.Node, c cover.ClusterID, session int) *state {
-	k := key{c: c, s: session}
-	st := m.states[k]
-	if st == nil {
-		st = &state{childMark: make(map[graph.NodeID]edgeMark)}
-		if m.isRoot(n, c) {
-			st.finished = true // the root is always finished
+// find returns the session's slot, or nil. The live sessions are the
+// newest, so the scan runs backwards.
+func (m *Module) find(session int) *slot {
+	for i := len(m.slots) - 1; i >= 0; i-- {
+		if m.slots[i].id == session {
+			return m.slots[i]
 		}
-		m.states[k] = st
 	}
-	return st
+	return nil
+}
+
+// newSlot lays out a session: one state per tree of m.me, their child
+// marks carved from one shared array. The root is always finished.
+func (m *Module) newSlot(session int) *slot {
+	tree := m.cov.TreeOf(m.me)
+	sl := &wire.Carve(&m.spareSlots, 1)[0]
+	sl.id, sl.states = session, wire.Carve(&m.spareStates, len(tree))
+	total := 0
+	for _, c := range tree {
+		total += len(m.cov.Cluster(c).ChildrenOf(m.me))
+	}
+	marks := wire.Carve(&m.spareMarks, total)
+	for i, c := range tree {
+		cl := m.cov.Cluster(c)
+		k := len(cl.ChildrenOf(m.me))
+		sl.states[i].childMark, marks = marks[:k:k], marks[k:]
+		sl.states[i].finished = cl.Root == m.me
+	}
+	return sl
+}
+
+func (m *Module) state(n *async.Node, c cover.ClusterID, session int) *state {
+	sl := m.find(session)
+	if sl == nil {
+		m.me = n.ID()
+		sl = m.newSlot(session)
+		m.slots = append(m.slots, sl)
+	}
+	i := m.cov.TreePos(n.ID(), c)
+	if i < 0 {
+		panic(fmt.Sprintf("reg: node %d is not in the tree of cluster %d", n.ID(), c))
+	}
+	return &sl.states[i]
+}
+
+// childPos returns the position of child among n's children in c.
+func (m *Module) childPos(n *async.Node, c cover.ClusterID, child graph.NodeID) int {
+	j := m.cov.Cluster(c).ChildPos(n.ID(), child)
+	if j < 0 {
+		panic(fmt.Sprintf("reg: node %d got tree traffic from non-child %d in cluster %d", n.ID(), child, c))
+	}
+	return j
 }
 
 func (m *Module) isRoot(n *async.Node, c cover.ClusterID) bool {
@@ -217,7 +263,7 @@ func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
 }
 
 func (m *Module) onRegUp(n *async.Node, child graph.NodeID, c cover.ClusterID, session int, st *state) {
-	st.childMark[child] = markDirty
+	st.childMark[m.childPos(n, c, child)] = markDirty
 	if st.finished {
 		m.send(n, child, kindRegDone, c, session)
 		return
@@ -240,10 +286,11 @@ func (m *Module) onRegDone(n *async.Node, c cover.ClusterID, session int, st *st
 }
 
 func (m *Module) onDeregUp(n *async.Node, child graph.NodeID, c cover.ClusterID, session int, st *state) {
-	if st.childMark[child] != markDirty {
+	j := m.childPos(n, c, child)
+	if st.childMark[j] != markDirty {
 		panic(fmt.Sprintf("reg: node %d got DeregUp on non-dirty edge from %d", n.ID(), child))
 	}
-	st.childMark[child] = markWaiting
+	st.childMark[j] = markWaiting
 	if m.isRoot(n, c) {
 		m.maybeIssueGo(n, c, session, st)
 		return
@@ -253,10 +300,8 @@ func (m *Module) onDeregUp(n *async.Node, child graph.NodeID, c cover.ClusterID,
 
 // runD is the deregistration wave step D(me).
 func (m *Module) runD(n *async.Node, c cover.ClusterID, session int, st *state) {
-	for _, mark := range st.childMark {
-		if mark == markDirty {
-			return
-		}
+	if slices.Contains(st.childMark, markDirty) {
+		return
 	}
 	if st.local == registering || st.local == registered {
 		// The paper's fix: a node whose own registration is pending or
@@ -277,10 +322,8 @@ func (m *Module) runD(n *async.Node, c cover.ClusterID, session int, st *state) 
 
 // maybeIssueGo is the root's Go-Ahead trigger.
 func (m *Module) maybeIssueGo(n *async.Node, c cover.ClusterID, session int, st *state) {
-	for _, mark := range st.childMark {
-		if mark == markDirty {
-			return
-		}
+	if slices.Contains(st.childMark, markDirty) {
+		return
 	}
 	m.runG(n, c, session, st)
 }
@@ -292,22 +335,22 @@ func (m *Module) runG(n *async.Node, c cover.ClusterID, session int, st *state) 
 		st.local = free
 		m.cb.GoAhead(n, c, session)
 	}
-	var waiting []graph.NodeID
-	for ch, mark := range st.childMark {
+	children := m.cov.Cluster(c).ChildrenOf(n.ID())
+	for j, mark := range st.childMark {
 		if mark == markWaiting {
-			waiting = append(waiting, ch)
+			st.childMark[j] = markNone
+			m.send(n, children[j], kindGoAhead, c, session)
 		}
-	}
-	sort.Slice(waiting, func(i, j int) bool { return waiting[i] < waiting[j] })
-	for _, ch := range waiting {
-		st.childMark[ch] = markNone
-		m.send(n, ch, kindGoAhead, c, session)
 	}
 }
 
 // LocalDone reports whether this node's client in (c, session) has been
 // freed (received its Go-Ahead). Tests use it for final-state checks.
 func (m *Module) LocalDone(c cover.ClusterID, session int) bool {
-	st := m.states[key{c: c, s: session}]
-	return st != nil && st.local == free
+	sl := m.find(session)
+	if sl == nil {
+		return false
+	}
+	i := m.cov.TreePos(m.me, c)
+	return i >= 0 && sl.states[i].local == free
 }

@@ -1,82 +1,79 @@
 package reg
 
 import (
-	"sort"
-
-	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/wire"
 )
 
 var _ wire.StateCodec = (*Module)(nil)
 
-// SaveState implements wire.StateCodec: every (cluster, session) state in
-// sorted key order. Configuration (proto, cover, callbacks, stage map) is
-// reconstructed by the module's constructor and stays out of the frame.
+// SaveState implements wire.StateCodec: the node id, then every session
+// slot in creation order with its states in TreeOf(me) order.
+// Configuration (proto, cover, callbacks, stage map) is reconstructed by
+// the module's constructor and stays out of the frame.
 func (m *Module) SaveState(e *wire.Enc) {
-	keys := make([]key, 0, len(m.states))
-	for k := range m.states {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].c != keys[j].c {
-			return keys[i].c < keys[j].c
-		}
-		return keys[i].s < keys[j].s
-	})
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		st := m.states[k]
-		e.I64(int64(k.c))
-		e.Int(k.s)
-		e.U8(uint8(st.local))
-		e.Bool(st.finished)
-		e.Bool(st.pending)
-		e.Bool(st.upDirty)
-		e.U32(uint32(len(st.invokers)))
-		for _, v := range st.invokers {
-			e.I32(int32(v))
-		}
-		marks := make([]graph.NodeID, 0, len(st.childMark))
-		for ch := range st.childMark {
-			marks = append(marks, ch)
-		}
-		sort.Slice(marks, func(i, j int) bool { return marks[i] < marks[j] })
-		e.U32(uint32(len(marks)))
-		for _, ch := range marks {
-			e.I32(int32(ch))
-			e.U8(uint8(st.childMark[ch]))
+	e.I32(int32(m.me))
+	e.U32(uint32(len(m.slots)))
+	for _, sl := range m.slots {
+		e.Int(sl.id)
+		for i := range sl.states {
+			st := &sl.states[i]
+			e.U8(uint8(st.local))
+			e.Bool(st.finished)
+			e.Bool(st.pending)
+			e.Bool(st.upDirty)
+			e.U32(uint32(len(st.invokers)))
+			for _, v := range st.invokers {
+				e.I32(int32(v))
+			}
+			for _, mark := range st.childMark {
+				e.U8(uint8(mark))
+			}
 		}
 	}
 }
 
-// LoadState implements wire.StateCodec.
+// LoadState implements wire.StateCodec. The slot layout follows from the
+// recorded node id, which must name a node of the cover; session ids must
+// be distinct, invokers must be tree children, and every enum in range.
 func (m *Module) LoadState(d *wire.Dec) {
-	n := int(d.U32())
-	m.states = make(map[key]*state, n)
-	for i := 0; i < n && !d.Failed(); i++ {
-		k := key{c: cover.ClusterID(d.I64()), s: d.Int()}
-		st := &state{
-			local:    localState(d.U8()),
-			finished: d.Bool(),
-			pending:  d.Bool(),
-			upDirty:  d.Bool(),
+	m.me = graph.NodeID(d.I32())
+	nSlots := int(d.U32())
+	m.slots = nil
+	if nSlots > 0 && !d.Failed() && (m.me < 0 || int(m.me) >= m.cov.N()) {
+		d.Fail("reg: state for node %d outside the cover's %d nodes", m.me, m.cov.N())
+	}
+	for i := 0; i < nSlots && !d.Failed(); i++ {
+		id := d.Int()
+		if m.find(id) != nil {
+			d.Fail("reg: session %d saved twice", id)
+			return
 		}
-		nInv := int(d.U32())
-		for j := 0; j < nInv && !d.Failed(); j++ {
-			st.invokers = append(st.invokers, graph.NodeID(d.I32()))
+		sl := m.newSlot(id)
+		for j, c := range m.cov.TreeOf(m.me) {
+			st := &sl.states[j]
+			st.local = localState(d.U8())
+			st.finished = d.Bool()
+			st.pending = d.Bool()
+			st.upDirty = d.Bool()
+			nInv := int(d.U32())
+			for k := 0; k < nInv && !d.Failed(); k++ {
+				v := graph.NodeID(d.I32())
+				if m.cov.Cluster(c).ChildPos(m.me, v) < 0 {
+					d.Fail("reg: cluster %d session %d invoker %d is not a child of node %d", c, id, v, m.me)
+				}
+				st.invokers = append(st.invokers, v)
+			}
+			for k := range st.childMark {
+				st.childMark[k] = edgeMark(d.U8())
+				if st.childMark[k] > markWaiting {
+					d.Fail("reg: cluster %d session %d has edge mark %d", c, id, st.childMark[k])
+				}
+			}
+			if st.local > free {
+				d.Fail("reg: state for cluster %d session %d has local state %d", c, id, st.local)
+			}
 		}
-		nMarks := int(d.U32())
-		st.childMark = make(map[graph.NodeID]edgeMark, nMarks)
-		for j := 0; j < nMarks && !d.Failed(); j++ {
-			ch := graph.NodeID(d.I32())
-			st.childMark[ch] = edgeMark(d.U8())
-		}
-		if st.local > free {
-			d.Fail("reg: state for cluster %d session %d has local state %d", k.c, k.s, st.local)
-		}
-		if !d.Failed() {
-			m.states[k] = st
-		}
+		m.slots = append(m.slots, sl)
 	}
 }

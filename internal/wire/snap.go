@@ -359,8 +359,10 @@ type StateCodec interface {
 // does not round-trip — bit corruption surfaces here, truncation either
 // here or as a Dec sticky error.
 const (
-	snapMagic   = 0x50414e53 // "SNAP", little-endian
-	SnapVersion = 1
+	snapMagic = 0x50414e53 // "SNAP", little-endian
+	// SnapVersion 2: the synchronizer core, gather and registration
+	// states are laid out by pulse and cover tree position.
+	SnapVersion = 2
 )
 
 // snapHeaderLen is the sealed-frame overhead: magic, version, payload
