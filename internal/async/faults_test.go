@@ -386,6 +386,55 @@ func FuzzFaultSchedule(f *testing.F) {
 	})
 }
 
+// FuzzParseFaultSpec holds the -faults input boundary to "an error, or a
+// schedule a short run accepts — never a panic". An accepted schedule must
+// round-trip through String, and a run under it must quiesce with the
+// fault ledger balanced (every lost attempt either retransmitted or
+// abandoned) and every segment released.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, spec := range []string{
+		"", "none", "crash:p=0.01,drop:p=0.05,budget=3,seed=7",
+		"link:p=0.5,epoch=0.001", "drop:p=0.999,budget=16,backoff=1e-300",
+		"crash:p=0.9,epoch=+Inf", "seed=0", "drop:p=-0", "budget=-1",
+		"drop:p=NaN", "seed=18446744073709551616", "what", ",,", "drop:p=0x1p-3",
+	} {
+		f.Add(spec)
+	}
+	g := graph.RandomConnected(12, 20, 3)
+	mk := func(graph.NodeID) Handler { return &segSpray{} }
+	f.Fuzz(func(t *testing.T, spec string) {
+		fs, err := ParseFaultSpec(spec)
+		if err != nil {
+			if fs != nil {
+				t.Fatalf("ParseFaultSpec(%q) returned a schedule with error %v", spec, err)
+			}
+			return
+		}
+		if fs == nil {
+			return // no fault plane
+		}
+		back, err := ParseFaultSpec(fs.String())
+		if err != nil {
+			t.Fatalf("String() of %q = %q does not parse: %v", spec, fs.String(), err)
+		}
+		if back == nil {
+			back = &FaultSchedule{}
+		}
+		if *back != *fs {
+			t.Fatalf("%q round-trips through %q to %+v, want %+v", spec, fs.String(), *back, *fs)
+		}
+		s := New(g, WithFaults(SeededRandom{Seed: 1}, fs), mk)
+		res := s.Run()
+		if res.Dropped != res.Retrans+res.Undeliverable {
+			t.Fatalf("%q: dropped %d != retrans %d + undeliverable %d",
+				spec, res.Dropped, res.Retrans, res.Undeliverable)
+		}
+		if live := s.Arena().Live(); live != 0 {
+			t.Fatalf("%q: %d segments still live after quiescence", spec, live)
+		}
+	})
+}
+
 // TestFaultyAdversaryName: the combinator surfaces the schedule in the
 // adversary name so experiment tables identify faulty rows.
 func TestFaultyAdversaryName(t *testing.T) {

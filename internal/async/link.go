@@ -20,12 +20,13 @@ package async
 // few (the synchronizer stack registers tens at most), so linear scans
 // beat hashing.
 //
-// Zeroing rules: popped message slots are cleared (so retained capacity
-// never pins a delivered body), but drained stageQueue and protoFIFO slots
-// are only truncated, never dropped — their slice capacity rotates back
-// into use when the stage or protocol reappears on the link. A link that
-// reaches steady state therefore stops allocating entirely, even when its
-// outbox fully drains between messages (the common, uncontended case).
+// Reuse rules: Msg values are pointer-free (a body's segment is an arena
+// offset), so popped message slots are left as they are, and drained
+// stageQueue and protoFIFO slots are only truncated, never dropped — their
+// slice capacity rotates back into use when the stage or protocol
+// reappears on the link. A link that reaches steady state therefore stops
+// allocating entirely, even when its outbox fully drains between messages
+// (the common, uncontended case).
 type outbox struct {
 	queued int
 	stages []stageQueue // sorted ascending by stage
@@ -161,7 +162,6 @@ func (sq *stageQueue) pop() Msg {
 			continue
 		}
 		m := pf.msgs[pf.head]
-		pf.msgs[pf.head] = Msg{} // release the body for GC
 		pf.head++
 		if pf.head == len(pf.msgs) {
 			pf.head = 0

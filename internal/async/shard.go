@@ -84,11 +84,8 @@ func (s *Sim) ShardInit() {
 // through the serial engine's processEvent, staging all schedule calls.
 func (s *Sim) ShardRunWindow(wStart float64) {
 	wEnd := wStart + s.lookahead
-	for {
-		ev, ok := s.events.popBefore(wEnd)
-		if !ok {
-			return
-		}
+	var ev event
+	for s.events.popBefore(wEnd, &ev) {
 		if ev.t < s.now {
 			panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
 		}
@@ -121,7 +118,7 @@ func (s *Sim) ShardStaged(i int) ShardStagedView {
 		Src:     se.ev.src,
 		Dst:     se.ev.dst,
 		Msg:     se.ev.msg,
-		Owner:   ownerOf(se.ev),
+		Owner:   ownerOf(&se.ev),
 	}
 }
 
@@ -139,14 +136,9 @@ func (s *Sim) ShardGrant(seqs []uint64, remote []bool) {
 		if remote[i] {
 			continue
 		}
-		ev := s.shardLog[i].ev
-		ev.seq = seqs[i]
-		s.events.push(ev)
-	}
-	// Release the staged Msg values (and any segment handles already
-	// extracted) for the garbage collector's sake: the log is long-lived.
-	for i := range s.shardLog {
-		s.shardLog[i] = stagedEv{}
+		se := &s.shardLog[i]
+		se.ev.seq = seqs[i]
+		s.events.push(&se.ev)
 	}
 	s.shardLog = s.shardLog[:0]
 }
@@ -174,7 +166,7 @@ func (s *Sim) ShardInject(seq uint64, t float64, kind uint8, src, dst graph.Node
 	default:
 		panic(fmt.Sprintf("async: remote event of unknown kind %d", kind))
 	}
-	s.events.push(event{t: t, seq: seq, link: link, src: src, dst: dst, kind: kind, msg: m})
+	s.events.push(&event{t: t, seq: seq, link: link, src: src, dst: dst, kind: kind, msg: m})
 }
 
 // ShardResult materializes this shard's slice of the run: counters and

@@ -547,8 +547,9 @@ func (s *Sim) runSerial() {
 			s.handlers[i].Init(&s.nodes[i])
 		}
 	}
+	var ev event
 	for !s.events.empty() {
-		ev := s.events.pop()
+		s.events.pop(&ev)
 		if ev.t < s.now {
 			panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
 		}
@@ -669,9 +670,10 @@ func (s *Sim) ensureWindowState(w int) {
 // snapshot, so shard pop order — and therefore the continuation — matches
 // the serial engine's exactly.
 func (s *Sim) dealRestoredEvents() {
+	var ev event
 	for !s.events.empty() {
-		ev := s.events.pop()
-		s.shards[int(ownerOf(ev))%len(s.shards)].push(ev)
+		s.events.pop(&ev)
+		s.shards[int(ownerOf(&ev))%len(s.shards)].push(&ev)
 	}
 }
 
@@ -690,11 +692,8 @@ func (s *Sim) minShardT() (float64, bool) {
 func (s *Sim) runShard(k int, wEnd float64) {
 	c := &s.wctx[k]
 	q := &s.shards[k]
-	for {
-		ev, ok := q.popBefore(wEnd)
-		if !ok {
-			return
-		}
+	var ev event
+	for q.popBefore(wEnd, &ev) {
 		c.steps++
 		c.maxT = ev.t // shards pop in nondecreasing t
 		c.processEvent(&ev)
@@ -740,7 +739,7 @@ func (s *Sim) mergeWindow() {
 	mergeWorkerLists(s.mergeCur, len(s.wctx),
 		func(k int) []stagedEv { return s.wctx[k].staged },
 		stagedLess,
-		func(se *stagedEv) { s.schedule(se.ev) })
+		func(se *stagedEv) { s.schedule(&se.ev) })
 	for k := range s.wctx {
 		s.wctx[k].staged = s.wctx[k].staged[:0]
 	}
@@ -939,7 +938,7 @@ func (c *execCtx) processEvent(ev *event) {
 		d := s.adv.Delay(ev.dst, ev.src, uint64(s.txSeq[back]), ev.msg.Proto)
 		s.bumpTx(back)
 		s.checkDelay(d)
-		c.schedule(event{t: c.now + d, kind: evAckArrive, link: ev.link, src: ev.src, dst: ev.dst, msg: ev.msg})
+		c.schedule(&event{t: c.now + d, kind: evAckArrive, link: ev.link, src: ev.src, dst: ev.dst, msg: ev.msg})
 	case evAckArrive:
 		// ev.src is the original sender whose link is now free.
 		s.busy[ev.link] = false
@@ -953,7 +952,7 @@ func (c *execCtx) processEvent(ev *event) {
 		// A backoff timer fired: retry the lost transmission. The link has
 		// stayed in flight since the original send, so the attempt re-enters
 		// at transmit, not send — no handler runs for this event.
-		s.transmit(c, ev.src, ev.dst, ev.link, ev.msg, ev.attempt)
+		s.transmit(c, ev.src, ev.dst, ev.link, &ev.msg, ev.attempt)
 	}
 }
 
@@ -975,7 +974,7 @@ func (c *execCtx) send(from, to graph.NodeID, m Msg) {
 		// (a queued message implies an in-flight one), so push+pop of this
 		// single message collapses to direct injection — no outbox is ever
 		// allocated for a link that never queues behind an in-flight send.
-		s.inject(c, from, to, l, m)
+		s.inject(c, from, to, l, &m)
 		return
 	}
 	ob := s.boxes[l]
@@ -988,7 +987,7 @@ func (c *execCtx) send(from, to graph.NodeID, m Msg) {
 
 // inject marks the link in flight and performs the first transmission
 // attempt.
-func (s *Sim) inject(c *execCtx, from, to graph.NodeID, l graph.LinkID, m Msg) {
+func (s *Sim) inject(c *execCtx, from, to graph.NodeID, l graph.LinkID, m *Msg) {
 	s.busy[l] = true
 	s.transmit(c, from, to, l, m, 0)
 }
@@ -1002,14 +1001,14 @@ func (s *Sim) inject(c *execCtx, from, to graph.NodeID, l graph.LinkID, m Msg) {
 // transmission sequence, so the adversary and the drop hash both see it as
 // a new transmission. With no fault schedule this is exactly the old
 // single-attempt dispatch.
-func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m Msg, attempt uint8) {
+func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m *Msg, attempt uint8) {
 	txs := uint64(s.txSeq[l])
 	d := s.adv.Delay(from, to, txs, m.Proto)
 	s.bumpTx(l)
 	s.checkDelay(d)
 	td := c.now + d
 	if s.faults == nil || !s.faults.Lost(from, to, txs, td) {
-		c.schedule(event{t: td, kind: evDeliver, link: l, src: from, dst: to, msg: m})
+		c.schedule(&event{t: td, kind: evDeliver, link: l, src: from, dst: to, msg: *m})
 		return
 	}
 	if c.direct {
@@ -1018,7 +1017,7 @@ func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m Msg,
 		c.dropped++
 	}
 	if int(attempt) >= s.faults.Budget {
-		c.undeliverable(from, to, l, m)
+		c.undeliverable(from, to, l, *m)
 		return
 	}
 	if c.direct {
@@ -1027,7 +1026,7 @@ func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m Msg,
 		c.retrans++
 	}
 	b := s.faults.backoff(attempt, s.lookahead)
-	c.schedule(event{t: c.now + b, kind: evRetrans, link: l, src: from, dst: to, msg: m, attempt: attempt + 1})
+	c.schedule(&event{t: c.now + b, kind: evRetrans, link: l, src: from, dst: to, msg: *m, attempt: attempt + 1})
 }
 
 // undeliverable abandons a message whose retransmit budget is exhausted:
@@ -1078,7 +1077,7 @@ func (c *execCtx) dispatch(from, to graph.NodeID, l graph.LinkID) {
 	if !ok {
 		return
 	}
-	s.inject(c, from, to, l, m)
+	s.inject(c, from, to, l, &m)
 }
 
 // checkDelay enforces both the model's (0,1] delay contract and the
@@ -1094,23 +1093,23 @@ func (s *Sim) checkDelay(d float64) {
 	}
 }
 
-func (c *execCtx) schedule(ev event) {
+func (c *execCtx) schedule(ev *event) {
 	if c.direct {
 		s := c.s
 		if s.shardMode {
 			// Event seqs are assigned by the coordinator's cross-shard
 			// merge; park the call keyed by its triggering event, exactly
 			// like ModeMulti worker staging.
-			s.shardLog = append(s.shardLog, stagedEv{ev: ev, trigT: c.now, trigSeq: c.curSeq})
+			s.shardLog = append(s.shardLog, stagedEv{ev: *ev, trigT: c.now, trigSeq: c.curSeq})
 			return
 		}
 		s.schedule(ev)
 		return
 	}
-	c.staged = append(c.staged, stagedEv{ev: ev, trigT: c.now, trigSeq: c.curSeq})
+	c.staged = append(c.staged, stagedEv{ev: *ev, trigT: c.now, trigSeq: c.curSeq})
 }
 
-func (s *Sim) schedule(ev event) {
+func (s *Sim) schedule(ev *event) {
 	ev.seq = s.eventSq
 	s.eventSq++
 	if s.sharded {
@@ -1125,7 +1124,7 @@ func (s *Sim) schedule(ev event) {
 // piece of state an event touches — the handler, the node's outgoing
 // outboxes and transmission counters, its output slot — private to one
 // worker within a window.
-func ownerOf(ev event) graph.NodeID {
+func ownerOf(ev *event) graph.NodeID {
 	if ev.kind == evDeliver {
 		return ev.dst
 	}
@@ -1207,7 +1206,8 @@ const (
 
 // event is one scheduled occurrence. Field order packs the 32-bit ids, the
 // 1-byte kind, and the 1-byte retransmission attempt into one word, keeping
-// the struct at 96 bytes — the wheel slots hold these by value.
+// the struct at 96 bytes. The calendar queue's slab holds these by value;
+// its wheel orders 24-byte keys into the slab.
 type event struct {
 	t       float64
 	seq     uint64

@@ -91,8 +91,9 @@ func (s *Sim) RunSteps(n uint64) bool {
 			}
 		}
 	}
+	var ev event
 	for ; n > 0 && !s.events.empty(); n-- {
-		ev := s.events.pop()
+		s.events.pop(&ev)
 		if ev.t < s.now {
 			panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
 		}
@@ -458,7 +459,7 @@ func (s *Sim) decodeEngine(d *wire.Dec) error {
 		if d.Failed() {
 			break
 		}
-		s.events.push(ev)
+		s.events.push(&ev)
 	}
 
 	nTrace := int(d.U32())

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/async"
 	"repro/internal/graph"
@@ -33,6 +34,7 @@ type alphaNode struct {
 	selfSafe  []bool
 	sentSafe  []bool
 	cs        congestStamp
+	api       alphaAPI // the current pulse's API; evaluations never nest
 }
 
 const protoAlphaSafe async.Proto = 3
@@ -59,12 +61,13 @@ func (a *alphaNode) Init(n *async.Node) {
 
 func (a *alphaNode) runPulse(n *async.Node, p int) {
 	a.pulse = p
-	api := &alphaAPI{n: n, a: a, pulse: p, epoch: a.cs.begin(n.Degree())}
+	a.api = alphaAPI{n: n, a: a, pulse: p, epoch: a.cs.begin(n.Degree())}
+	api := &a.api
 	if p == 0 {
 		a.algo.Init(api)
 	} else {
 		batch := a.recvd[p-1]
-		sort.Slice(batch, func(i, j int) bool { return batch[i].From < batch[j].From })
+		slices.SortFunc(batch, func(x, y syncrun.Incoming) int { return cmp.Compare(x.From, y.From) })
 		a.algo.Pulse(api, p, batch)
 	}
 	a.maybeSafe(n, p)

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/async"
 	"repro/internal/cover"
@@ -29,6 +30,7 @@ type betaNode struct {
 	childSafe  []int // pulse -> children subtrees reported safe
 	reportSent []bool
 	cs         congestStamp
+	api        betaAPI // the current pulse's API; evaluations never nest
 }
 
 const protoBetaTree async.Proto = 4
@@ -56,12 +58,13 @@ func (b *betaNode) Init(n *async.Node) { b.runPulse(n, 0) }
 
 func (b *betaNode) runPulse(n *async.Node, p int) {
 	b.pulse = p
-	api := &betaAPI{n: n, b: b, pulse: p, epoch: b.cs.begin(n.Degree())}
+	b.api = betaAPI{n: n, b: b, pulse: p, epoch: b.cs.begin(n.Degree())}
+	api := &b.api
 	if p == 0 {
 		b.algo.Init(api)
 	} else {
 		batch := b.recvd[p-1]
-		sort.Slice(batch, func(i, j int) bool { return batch[i].From < batch[j].From })
+		slices.SortFunc(batch, func(x, y syncrun.Incoming) int { return cmp.Compare(x.From, y.From) })
 		b.algo.Pulse(api, p, batch)
 	}
 	b.maybeSafe(n, p)

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/async"
 	"repro/internal/decomp"
@@ -32,6 +33,7 @@ type gammaNode struct {
 	sendAcked []int
 	safe      []bool // own pulse-p sends all acked
 	cs        congestStamp
+	api       gammaAPI // the current pulse's API; evaluations never nest
 
 	ph map[gKey]*gammaPhase
 }
@@ -158,12 +160,13 @@ func (gm *gammaNode) Init(n *async.Node) { gm.runPulse(n, 0) }
 
 func (gm *gammaNode) runPulse(n *async.Node, p int) {
 	gm.pulse = p
-	api := &gammaAPI{n: n, g: gm, pulse: p, epoch: gm.cs.begin(n.Degree())}
+	gm.api = gammaAPI{n: n, g: gm, pulse: p, epoch: gm.cs.begin(n.Degree())}
+	api := &gm.api
 	if p == 0 {
 		gm.algo.Init(api)
 	} else {
 		batch := gm.recvd[p-1]
-		sort.Slice(batch, func(i, j int) bool { return batch[i].From < batch[j].From })
+		slices.SortFunc(batch, func(x, y syncrun.Incoming) int { return cmp.Compare(x.From, y.From) })
 		gm.algo.Pulse(api, p, batch)
 	}
 	gm.maybeSelfSafe(n, p)
