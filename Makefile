@@ -1,23 +1,14 @@
 # Build/test/bench entry points. CI runs the same targets.
 
-# The engine microbenchmark suite committed as the bench trajectory.
-# Serial benchmarks run at the host's default GOMAXPROCS; the
-# mode-comparison benchmarks (serial vs bounded-lag windows, flood +
-# doubling BFS) additionally sweep -cpu so the committed
-# document carries the worker-scaling curves. On a single-core host the
-# sweep rows beyond -cpu 1 measure oversubscribed coordination overhead —
-# still useful as the floor of the multicore trajectory, which the CI
-# multicore job tracks on real parallel hardware.
+# The engine microbenchmark suite committed as the bench trajectory, run
+# at the host's default GOMAXPROCS.
 ASYNC_BENCH       = BenchmarkSimFlood$$|BenchmarkSimFloodFixed|BenchmarkSimFloodReset
-ASYNC_MODE_BENCH  = BenchmarkSimFloodParallel|BenchmarkSimFloodRandomModes
-ABFS_MODE_BENCH   = BenchmarkFullBFSModes
-SYNC_BENCH        = BenchmarkLockstepPulse$$|BenchmarkLockstepPulseMulti
+SYNC_BENCH        = BenchmarkLockstepPulse$$
 # The footprint probe is deterministic (see footprint_test.go's exact
 # pins), so one iteration suffices; its last case is the million-node row.
 FOOTPRINT_BENCH   = BenchmarkFootprint
-BENCH_CPUS       ?= 1,2,4,8
 BENCH_OUT         = BENCH_6.json
-BENCH_NOTE       ?= engine microbenchmark suite plus retained-footprint probe (graphB/link, asyncB/link, syncB/node; includes the grid3d 1M-node row); mode benchmarks sweep -cpu 1,2,4,8 — parallel rows at cpu counts beyond the host's cores measure oversubscribed coordination overhead, not speedup
+BENCH_NOTE       ?= engine microbenchmark suite (serial engines) plus retained-footprint probe (graphB/link, asyncB/link, syncB/node; includes the grid3d 1M-node row)
 
 # The fault-plane sweep committed as BENCH_8.json: the synchronized BFS
 # under a crash × drop × budget grid of deterministic fault schedules,
@@ -72,12 +63,10 @@ vet:
 # truncated document from whatever lines did arrive).
 bench:
 	go test -run '^$$' -bench '$(ASYNC_BENCH)' -benchmem ./internal/async/ > .bench-async.out
-	go test -run '^$$' -bench '$(ASYNC_MODE_BENCH)' -benchmem -cpu $(BENCH_CPUS) ./internal/async/ > .bench-async-modes.out
-	go test -run '^$$' -bench '$(ABFS_MODE_BENCH)' -benchmem -cpu $(BENCH_CPUS) ./internal/abfs/ > .bench-abfs-modes.out
 	go test -run '^$$' -bench '$(SYNC_BENCH)' -benchmem ./internal/syncrun/ > .bench-sync.out
 	go test -run '^$$' -bench '$(FOOTPRINT_BENCH)' -benchtime 1x -timeout 30m ./internal/bench/ > .bench-footprint.out
-	cat .bench-async.out .bench-async-modes.out .bench-abfs-modes.out .bench-sync.out .bench-footprint.out | go run ./cmd/benchjson -note "$(BENCH_NOTE)" > $(BENCH_OUT)
-	rm -f .bench-async.out .bench-async-modes.out .bench-abfs-modes.out .bench-sync.out .bench-footprint.out
+	cat .bench-async.out .bench-sync.out .bench-footprint.out | go run ./cmd/benchjson -note "$(BENCH_NOTE)" > $(BENCH_OUT)
+	rm -f .bench-async.out .bench-sync.out .bench-footprint.out
 	@cat $(BENCH_OUT)
 
 bench-faults:

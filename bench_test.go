@@ -50,12 +50,4 @@ func BenchmarkE11StagePipelining(b *testing.B) { runExperiment(b, bench.E11Stage
 
 func BenchmarkE12GatherCost(b *testing.B) { runExperiment(b, bench.E12GatherCost) }
 
-func BenchmarkE13EngineThroughput(b *testing.B) {
-	runExperiment(b, bench.E13EngineThroughput)
-}
-
-func BenchmarkE14AsyncEngineThroughput(b *testing.B) {
-	runExperiment(b, bench.E14AsyncEngineThroughput)
-}
-
 func BenchmarkE16Footprint(b *testing.B) { runExperiment(b, bench.E16Footprint) }

@@ -59,7 +59,6 @@ func run() int {
 		cols    = flag.Int("cols", 6, "grid cols")
 		seed    = flag.Uint64("seed", 1, "delay adversary seed")
 		sources = flag.String("sources", "0", "comma-separated source IDs")
-		mode    = flag.String("mode", "auto", "async engine execution mode: auto|single|multi")
 		quiet   = flag.Bool("quiet", false, "suppress per-node output")
 		shards  = flag.Int("shards", 0, "run multi-source BFS on K sharded worker processes instead of the synchronizer stack (0 = off)")
 		faults  = flag.String("faults", "", "fault schedule (e.g. drop:p=0.05,budget=3,seed=7); empty = fault-free")
@@ -68,18 +67,6 @@ func run() int {
 		resume  = flag.String("resume", "", "resume a sharded run from a checkpoint file; graph/workload identity comes from the file, -shards stays yours")
 	)
 	flag.Parse()
-	var execMode dsync.AsyncExecutionMode
-	switch *mode {
-	case "auto":
-		execMode = dsync.AsyncModeAuto
-	case "single":
-		execMode = dsync.AsyncModeSingle
-	case "multi":
-		execMode = dsync.AsyncModeMulti
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q (want auto|single|multi)\n", *mode)
-		return 2
-	}
 	g, err := buildGraph(*kind, *n, *m, *rows, *cols, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -105,7 +92,7 @@ func run() int {
 	if *shards > 0 {
 		return runSharded(g, *kind, *n, *m, *rows, *cols, *seed, srcs, *shards, *quiet, *faults, *snapN, *snapP)
 	}
-	res := dsync.AsyncBFSMode(g, srcs, dsync.WithFaults(dsync.RandomDelays(*seed), fs), execMode)
+	res := dsync.AsyncBFS(g, srcs, dsync.WithFaults(dsync.RandomDelays(*seed), fs))
 	// The exact diameter is an O(n·m) all-pairs sweep — a header nicety on
 	// small graphs, hours of preamble on ten million nodes. Skip it there.
 	diam := "-"

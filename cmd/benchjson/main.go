@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into the
 // committed bench-trajectory artifact (BENCH_N.json): one record per
-// benchmark with ns/op, allocs/op, bytes/op, any custom metrics, the
-// execution mode inferred from the benchmark name, and the GOMAXPROCS the
+// benchmark with ns/op, allocs/op, bytes/op, any custom metrics, whether
+// it was a multi-process sharded run, and the GOMAXPROCS the
 // benchmark ran at (the -N name suffix). `make bench` pipes the engine
 // microbenchmark suite through it.
 //
@@ -24,11 +24,8 @@ import (
 type Benchmark struct {
 	// Name is the benchmark name without the -GOMAXPROCS suffix.
 	Name string `json:"name"`
-	// Mode is the engine execution mode inferred from the name ("single",
-	// "multi", "shard", or "default" when the name carries none);
-	// the last sub-benchmark path segment takes precedence over substring
-	// matches, and a "shard"/"shards=K" segment anywhere in the path marks
-	// a multi-process run.
+	// Mode is "shard" when a "shard"/"shards=K" segment anywhere in the
+	// path marks a multi-process run, and "default" otherwise.
 	Mode string `json:"mode"`
 	// Shards is the worker-process count parsed from a "shards=K" path
 	// segment; 0 when the benchmark is not a sharded run.
@@ -150,21 +147,10 @@ func parseLine(line string) (Benchmark, bool) {
 	return b, true
 }
 
-// inferMode maps a benchmark name to the engine execution mode it ran,
-// plus the shard count for multi-process runs. The final sub-benchmark
-// path segment wins when it names a mode exactly —
-// BenchmarkSimFloodRandomModes/single must not be misread as "multi" just
-// because the parent name mentions modes. A "shard" or "shards=K"
-// segment anywhere in the path marks a sharded run; it is checked before
-// the whole-name substring fallback. Only then does the older whole-name
-// substring match apply.
+// inferMode maps a benchmark name to "shard", plus the shard count, when a
+// "shard" or "shards=K" segment anywhere in the path marks a multi-process
+// run, and to "default" otherwise.
 func inferMode(name string) (string, int) {
-	if i := strings.LastIndex(name, "/"); i >= 0 {
-		switch seg := strings.ToLower(name[i+1:]); seg {
-		case "single", "multi":
-			return seg, 0
-		}
-	}
 	for _, seg := range strings.Split(strings.ToLower(name), "/") {
 		if seg == "shard" {
 			return "shard", 0
@@ -174,13 +160,6 @@ func inferMode(name string) (string, int) {
 				return "shard", k
 			}
 		}
-	}
-	lower := strings.ToLower(name)
-	switch {
-	case strings.Contains(lower, "multi"):
-		return "multi", 0
-	case strings.Contains(lower, "single"):
-		return "single", 0
 	}
 	return "default", 0
 }

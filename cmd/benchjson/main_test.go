@@ -8,12 +8,11 @@ func TestInferMode(t *testing.T) {
 		mode   string
 		shards int
 	}{
-		// The exact last-segment rule: a parent name that mentions a mode
-		// must not override the segment.
-		{"BenchmarkSimFloodRandomModes/single", "single", 0},
-		{"BenchmarkSimFloodRandomModes/multi", "multi", 0},
-		{"BenchmarkMultiSourceBFS/single", "single", 0},
-		// "spec" is no mode: a graph-spec label in the name stays default.
+		// In-process runs are all the serial engine: names that mention
+		// the removed modes, or a graph spec, stay default.
+		{"BenchmarkSimFloodRandomModes/single", "default", 0},
+		{"BenchmarkSimFloodRandomModes/multi", "default", 0},
+		{"BenchmarkMultiSourceBFS", "default", 0},
 		{"BenchmarkFromSpecGrid3D", "default", 0},
 		{"BenchmarkSimFlood", "default", 0},
 		// The sharded runs: a shards=K segment anywhere in the path marks
@@ -22,7 +21,7 @@ func TestInferMode(t *testing.T) {
 		{"BenchmarkShardSweep/spec=grid3d:100x100x100/shards=8", "shard", 8},
 		{"BenchmarkShardSweep/spec=pa:n=1000,m=2,seed=3/shards=2", "shard", 2},
 		{"BenchmarkCoordinator/shard", "shard", 0},
-		// Malformed counts fall through to the substring rules.
+		// Malformed counts are no shard run.
 		{"BenchmarkX/shards=zero", "default", 0},
 		{"BenchmarkX/shards=-2", "default", 0},
 	}

@@ -182,7 +182,7 @@ func serialReference(cfg shard.Config) (async.Result, error) {
 	if err != nil {
 		return async.Result{}, err
 	}
-	sim := async.New(g, a, mk).WithMode(async.ModeSingle)
+	sim := async.New(g, a, mk)
 	if cfg.KeepTrace {
 		sim.KeepTrace()
 	}

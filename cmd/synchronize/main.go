@@ -30,21 +30,8 @@ func run() int {
 		rows = flag.Int("rows", 6, "grid rows")
 		cols = flag.Int("cols", 6, "grid cols")
 		seed = flag.Uint64("seed", 1, "delay adversary seed")
-		mode = flag.String("mode", "auto", "lockstep execution mode: auto|single|multi")
 	)
 	flag.Parse()
-	var execMode dsync.ExecutionMode
-	switch *mode {
-	case "auto":
-		execMode = dsync.ModeAuto
-	case "single":
-		execMode = dsync.ModeSingle
-	case "multi":
-		execMode = dsync.ModeMulti
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q (want auto|single|multi)\n", *mode)
-		return 2
-	}
 	g, err := buildGraph(*kind, *n, *m, *rows, *cols, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -55,7 +42,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	sres := dsync.RunSyncMode(g, execMode, mk)
+	sres := dsync.RunSync(g, mk)
 	if bound == 0 {
 		bound = sres.Rounds + 2
 	}

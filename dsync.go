@@ -57,14 +57,6 @@ type (
 	TraceKind = async.TraceKind
 	// SyncResult summarizes a lockstep synchronous run.
 	SyncResult = syncrun.Result
-	// ExecutionMode selects how the lockstep runner steps each pulse
-	// (results are byte-identical across modes).
-	ExecutionMode = syncrun.ExecutionMode
-	// AsyncExecutionMode selects how the asynchronous engine consumes its
-	// event queue: serially, or in bounded-lag parallel time windows whose
-	// width is the adversary's declared MinDelay lookahead. Results are
-	// byte-identical across modes.
-	AsyncExecutionMode = async.ExecutionMode
 	// Algorithm is an event-driven synchronous node program.
 	Algorithm = syncrun.Handler
 	// API is the node-side surface an Algorithm sees.
@@ -119,7 +111,7 @@ func StandardAdversaries(n int, seed uint64) []Adversary {
 
 // Fault plane: seeded, pure-function crash/link/drop schedules wrapped
 // around any delay adversary. Fault decisions are byte-identical across
-// every execution mode and shard count.
+// every shard count.
 type FaultSchedule = async.FaultSchedule
 
 // ParseFaultSpec parses a fault-schedule spec such as
@@ -132,7 +124,7 @@ func ParseFaultSpec(spec string) (*FaultSchedule, error) { return async.ParseFau
 func WithFaults(adv Adversary, fs *FaultSchedule) Adversary { return async.WithFaults(adv, fs) }
 
 // StandardFaultSchedules returns the deterministic fault-schedule matrix
-// the cross-mode tests and E17 sweep share.
+// the fault tests and E17 sweep share.
 func StandardFaultSchedules(seed uint64) []*FaultSchedule {
 	return async.StandardFaultSchedules(seed)
 }
@@ -143,38 +135,11 @@ const (
 	TraceUndeliverable = async.TraceUndeliverable
 )
 
-// Lockstep execution modes. ModeAuto picks the worker pool for large
-// graphs; ModeSingle and ModeMulti force one path. All three produce
-// byte-identical results — the choice is purely wall-clock.
-const (
-	ModeAuto   = syncrun.ModeAuto
-	ModeSingle = syncrun.ModeSingle
-	ModeMulti  = syncrun.ModeMulti
-)
-
-// Asynchronous engine execution modes (byte-identical results, wall-clock
-// only). AsyncModeAuto engages the bounded-lag windows (AsyncModeMulti)
-// when the adversary's MinDelay lookahead and the graph are both large
-// enough to amortize the window barriers, and runs serially otherwise.
-const (
-	AsyncModeAuto   = async.ModeAuto
-	AsyncModeSingle = async.ModeSingle
-	AsyncModeMulti  = async.ModeMulti
-)
-
 // RunSync executes an event-driven synchronous algorithm in lockstep rounds
-// and measures T(A) and M(A). On large graphs the engine may step
-// different nodes' handlers concurrently (ModeAuto); handlers own their
-// node's state and must not share mutable state across nodes — use
-// RunSyncMode with ModeSingle for algorithms that need serial stepping.
+// and measures T(A) and M(A). Handlers own their node's state and must not
+// share mutable state across nodes.
 func RunSync(g *Graph, mk func(NodeID) Algorithm) SyncResult {
 	return syncrun.New(g, mk).Run()
-}
-
-// RunSyncMode is RunSync with an explicit execution mode (Single forces
-// the sequential stepper, Multi the deterministic worker pool).
-func RunSyncMode(g *Graph, mode ExecutionMode, mk func(NodeID) Algorithm) SyncResult {
-	return syncrun.New(g, mk).WithMode(mode).Run()
 }
 
 // Synchronize runs the algorithm under the paper's deterministic
@@ -183,14 +148,6 @@ func RunSyncMode(g *Graph, mode ExecutionMode, mk func(NodeID) Algorithm) SyncRe
 // which the algorithm sends.
 func Synchronize(g *Graph, bound int, adv Adversary, mk func(NodeID) Algorithm) AsyncResult {
 	return core.Synchronize(core.Config{Graph: g, Bound: bound, Adversary: adv}, mk)
-}
-
-// SynchronizeMode is Synchronize with an explicit asynchronous-engine
-// execution mode (AsyncModeSingle forces the serial event loop,
-// AsyncModeMulti the bounded-lag parallel windows).
-func SynchronizeMode(g *Graph, bound int, adv Adversary, mode AsyncExecutionMode,
-	mk func(NodeID) Algorithm) AsyncResult {
-	return core.Synchronize(core.Config{Graph: g, Bound: bound, Adversary: adv, Mode: mode}, mk)
 }
 
 // SynchronizeWithCovers is Synchronize with prebuilt layered covers
@@ -292,11 +249,6 @@ func AsyncBFS(g *Graph, sources []NodeID, adv Adversary) abfs.FullResult {
 	return abfs.Full(g, sources, adv)
 }
 
-// AsyncBFSMode is AsyncBFS with an explicit engine execution mode.
-func AsyncBFSMode(g *Graph, sources []NodeID, adv Adversary, mode AsyncExecutionMode) abfs.FullResult {
-	return abfs.FullMode(g, sources, adv, mode)
-}
-
 // ThresholdedBFS runs the τ-thresholded asynchronous BFS of Theorem 4.15;
 // nodes beyond τ output Unreachable.
 func ThresholdedBFS(g *Graph, sources []NodeID, tau int, adv Adversary) abfs.Result {
@@ -307,9 +259,8 @@ func ThresholdedBFS(g *Graph, sources []NodeID, tau int, adv Adversary) abfs.Res
 // sealed, pointer-free byte frame of a run's complete state, taken at an
 // event boundary (asynchronous engine) or pulse boundary (lockstep
 // runner). Restoring it into a handle built over the same graph and
-// algorithm continues the run byte-identically to the uninterrupted one,
-// in every execution mode — so checkpoints can also fork ("what happens
-// from here under a different engine?") and replay deterministically.
+// algorithm continues the run byte-identically to the uninterrupted one —
+// so checkpoints can also fork and replay deterministically.
 // Handlers participate via StateCodec; every shipped algorithm and the
 // synchronizer stack implement it.
 type (
@@ -335,7 +286,7 @@ func NewLockstepRun(g *Graph, mk func(NodeID) Algorithm) *LockstepRun {
 // NewSynchronizedRun assembles the paper's synchronizer stack over the
 // synchronous algorithm without running it, for stepwise execution and
 // checkpointing: RunSteps(k) advances k engine events, Snapshot()
-// checkpoints between events, Run() finishes in any execution mode.
+// checkpoints between events, Run() finishes the run.
 func NewSynchronizedRun(g *Graph, bound int, adv Adversary, mk func(NodeID) Algorithm) *SynchronizedRun {
 	return core.NewSynchronizedSim(core.Config{Graph: g, Bound: bound, Adversary: adv}, mk)
 }

@@ -107,23 +107,6 @@ func TestCoverReuseAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestPublicAPIAsyncModes(t *testing.T) {
-	g := Grid(5, 5)
-	mk := NewBFS([]NodeID{0})
-	sres := RunSync(g, mk)
-	bound := sres.Rounds + 2
-	serial := SynchronizeMode(g, bound, FixedDelays(1), AsyncModeSingle, mk)
-	multi := SynchronizeMode(g, bound, FixedDelays(1), AsyncModeMulti, mk)
-	if !reflect.DeepEqual(serial, multi) {
-		t.Fatal("SynchronizeMode results differ across async execution modes")
-	}
-	bfsSerial := AsyncBFSMode(g, []NodeID{0}, RandomDelays(4), AsyncModeSingle)
-	bfsMulti := AsyncBFSMode(g, []NodeID{0}, RandomDelays(4), AsyncModeMulti)
-	if !reflect.DeepEqual(bfsSerial, bfsMulti) {
-		t.Fatal("AsyncBFSMode results differ across async execution modes")
-	}
-}
-
 func TestPublicAPISnapshotReplay(t *testing.T) {
 	g := Grid(5, 5)
 	mk := NewBFS([]NodeID{0})

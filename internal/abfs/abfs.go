@@ -137,9 +137,6 @@ type Config struct {
 	// Layered covers; nil builds them (they must reach the synchronizer's
 	// level for bound 2·Threshold+4 and the checking level ⌈log₂τ⌉).
 	Layered *cover.Layered
-	// Mode selects the asynchronous engine's execution mode (default
-	// ModeAuto); results are byte-identical across modes.
-	Mode async.ExecutionMode
 }
 
 // pulseBound returns the synchronizer bound for a τ-thresholded BFS: joins
@@ -210,7 +207,7 @@ func thresholdedOn(sim *async.Sim, cfg Config, dense bool) (Result, *async.Sim) 
 		return stack
 	}
 	if sim == nil {
-		sim = async.New(cfg.Graph, adv, mk).WithMode(cfg.Mode)
+		sim = async.New(cfg.Graph, adv, mk)
 		if dense {
 			sim.DenseOutputs()
 		}
@@ -245,23 +242,17 @@ type FullResult struct {
 
 // Full runs the complete asynchronous (multi-source) BFS of Theorems
 // 4.23/4.24: thresholds 1, 2, 4, … until the Approach-2 frontier
-// convergecast reports no unreached neighbor anywhere.
-func Full(g *graph.Graph, sources []graph.NodeID, adv async.Adversary) FullResult {
-	return FullMode(g, sources, adv, async.ModeAuto)
-}
-
-// FullMode is Full with an explicit engine execution mode. One simulation
+// convergecast reports no unreached neighbor anywhere. One simulation
 // engine serves every doubling iteration (rearmed with Sim.Reset between
 // them), and intermediate iterations run with dense outputs — only the
 // winning iteration's outputs are decoded into the result map.
-func FullMode(g *graph.Graph, sources []graph.NodeID, adv async.Adversary,
-	mode async.ExecutionMode) FullResult {
+func Full(g *graph.Graph, sources []graph.NodeID, adv async.Adversary) FullResult {
 	out := FullResult{}
 	var sim *async.Sim
 	for tau := 1; ; tau *= 2 {
 		var res Result
 		res, sim = thresholdedOn(sim, Config{Graph: g, Sources: sources,
-			Threshold: tau, Adversary: adv, Mode: mode}, true)
+			Threshold: tau, Adversary: adv}, true)
 		out.Iterations++
 		out.Time += res.Time
 		out.Msgs += res.Msgs

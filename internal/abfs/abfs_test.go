@@ -132,23 +132,35 @@ func TestCheckLevel(t *testing.T) {
 	}
 }
 
-// TestFullModeMatchesSerial runs the complete doubling BFS — every
-// iteration on the reused bounded-lag engine — and requires the aggregate
-// FullResult (summed costs, decoded final outputs, iteration count) to
-// deep-equal the serial run's.
-func TestFullModeMatchesSerial(t *testing.T) {
+// TestFullReuseMatchesFresh runs the complete doubling BFS — every
+// iteration on one engine rearmed with Sim.Reset, intermediate iterations
+// in dense-output mode — and requires the aggregate FullResult (summed
+// costs, decoded final outputs, iteration count) to equal the same
+// doubling done with a fresh engine per iteration.
+func TestFullReuseMatchesFresh(t *testing.T) {
 	g := graph.Grid(6, 6)
 	sources := []graph.NodeID{0, 35}
 	for _, adv := range []async.Adversary{
 		async.Fixed{D: 1},
 		async.SeededRandom{Seed: 23},
 	} {
-		serial := FullMode(g, sources, adv, async.ModeSingle)
-		par := FullMode(g, sources, adv, async.ModeMulti)
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("%s: FullMode parallel differs from serial:\n%+v\nvs\n%+v", adv.Name(), serial, par)
+		got := Full(g, sources, adv)
+		want := FullResult{}
+		for tau := 1; ; tau *= 2 {
+			res := Thresholded(Config{Graph: g, Sources: sources, Threshold: tau, Adversary: adv})
+			want.Iterations++
+			want.Time += res.Time
+			want.Msgs += res.Msgs
+			want.FinalThreshold = tau
+			if res.Complete {
+				want.Outputs = res.Outputs
+				break
+			}
 		}
-		if bad := apps.CheckBFSOutputs(g, sources, toBFSOutputs(serial.Outputs)); bad >= 0 {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Full on a reused engine differs from fresh engines:\n%+v\nvs\n%+v", adv.Name(), got, want)
+		}
+		if bad := apps.CheckBFSOutputs(g, sources, toBFSOutputs(got.Outputs)); bad >= 0 {
 			t.Fatalf("%s: node %d has wrong BFS output", adv.Name(), bad)
 		}
 	}

@@ -25,22 +25,3 @@ func BenchmarkFullBFS(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFullBFSModes runs the same doubling BFS once per engine
-// execution mode on a larger grid.
-func BenchmarkFullBFSModes(b *testing.B) {
-	g := graph.Grid(16, 24)
-	core.BuildLayeredFor(g, 100)
-	for _, mode := range []async.ExecutionMode{async.ModeSingle, async.ModeMulti} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := FullMode(g, []graph.NodeID{0}, async.SeededRandom{Seed: 5}, mode)
-				if len(res.Outputs) != g.N() {
-					b.Fatal("incomplete")
-				}
-			}
-		})
-	}
-}

@@ -5,15 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/outval"
 	"repro/internal/syncrun"
 )
 
-// TestModesByteIdentical is the cross-mode determinism matrix: for every
-// algorithm × generator pair, the lockstep runner must produce a Result
-// (outputs, T, M, Rounds, trace) byte-identical between Single mode and
-// Multi mode with the worker pool forced on (threshold 1, several
-// workers). This is the contract that makes the parallel engine safe to
-// select automatically.
+// TestModesByteIdentical is the output modes matrix: for every algorithm ×
+// generator pair, the lockstep runner's plain, traced (KeepTrace) and
+// dense-output (WithDenseOutputs) runs must agree — same T, Rounds and M,
+// the same outputs (dense bodies decode to the plain map, boxed MST
+// results included), and a trace of exactly M entries in pulse order.
 func TestModesByteIdentical(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -69,41 +69,41 @@ func TestModesByteIdentical(t *testing.T) {
 					g = graph.WithRandomWeights(tg.g, 11)
 				}
 				mk := ta.mk(g)
-				single := syncrun.New(g, mk).WithMode(syncrun.ModeSingle).KeepTrace().Run()
-				multi := syncrun.New(g, mk).
-					WithMode(syncrun.ModeMulti).WithWorkers(4).WithMinParallel(1).
-					KeepTrace().Run()
-				compareResults(t, single, multi)
+				plain := syncrun.New(g, mk).Run()
+				traced := syncrun.New(g, mk).KeepTrace().Run()
+				dense := syncrun.New(g, mk).WithDenseOutputs().Run()
+				compareResults(t, plain, traced, dense)
 			})
 		}
 	}
 }
 
-func compareResults(t *testing.T, single, multi syncrun.Result) {
+func compareResults(t *testing.T, plain, traced, dense syncrun.Result) {
 	t.Helper()
-	if single.T != multi.T || single.Rounds != multi.Rounds || single.M != multi.M {
-		t.Fatalf("scalars differ: single{T:%d R:%d M:%d} multi{T:%d R:%d M:%d}",
-			single.T, single.Rounds, single.M, multi.T, multi.Rounds, multi.M)
-	}
-	if !reflect.DeepEqual(single.Outputs, multi.Outputs) {
-		t.Fatal("outputs differ between Single and Multi modes")
-	}
-	if len(single.Trace) != len(multi.Trace) {
-		t.Fatalf("trace length differs: %d vs %d", len(single.Trace), len(multi.Trace))
-	}
-	for i := range single.Trace {
-		if !reflect.DeepEqual(single.Trace[i], multi.Trace[i]) {
-			t.Fatalf("trace[%d] differs: %+v vs %+v", i, single.Trace[i], multi.Trace[i])
+	for _, r := range []syncrun.Result{traced, dense} {
+		if r.T != plain.T || r.Rounds != plain.Rounds || r.M != plain.M {
+			t.Fatalf("scalars differ: plain{T:%d R:%d M:%d} vs {T:%d R:%d M:%d}",
+				plain.T, plain.Rounds, plain.M, r.T, r.Rounds, r.M)
 		}
 	}
-}
-
-// TestModeAutoMatchesSingle pins ModeAuto (whatever it selects) to the
-// Single-mode result on a graph past the auto-multi threshold.
-func TestModeAutoMatchesSingle(t *testing.T) {
-	g := graph.RandomConnected(3000, 9000, 3)
-	mk := func(graph.NodeID) syncrun.Handler { return &BFS{Sources: []graph.NodeID{0}} }
-	single := syncrun.New(g, mk).WithMode(syncrun.ModeSingle).KeepTrace().Run()
-	auto := syncrun.New(g, mk).KeepTrace().Run()
-	compareResults(t, single, auto)
+	if !reflect.DeepEqual(traced.Outputs, plain.Outputs) {
+		t.Fatal("outputs differ between plain and traced runs")
+	}
+	decoded := make(map[graph.NodeID]any)
+	for v, has := range dense.OutSet {
+		if has {
+			decoded[graph.NodeID(v)] = outval.DecodeSlot(dense.OutBodies[v], dense.Outputs[graph.NodeID(v)])
+		}
+	}
+	if !reflect.DeepEqual(decoded, plain.Outputs) {
+		t.Fatal("dense outputs decode to a different map than the plain run")
+	}
+	if uint64(len(traced.Trace)) != plain.M {
+		t.Fatalf("trace has %d entries, M = %d", len(traced.Trace), plain.M)
+	}
+	for i := 1; i < len(traced.Trace); i++ {
+		if traced.Trace[i].Pulse < traced.Trace[i-1].Pulse {
+			t.Fatalf("trace[%d] at pulse %d after pulse %d", i, traced.Trace[i].Pulse, traced.Trace[i-1].Pulse)
+		}
+	}
 }

@@ -10,18 +10,18 @@ import "repro/internal/graph"
 // Every adversary additionally declares a positive lower bound on its
 // delays via MinDelay. The model itself guarantees such a bound exists
 // (delays are drawn from a fixed deterministic rule over a finite value
-// set), and the bounded-lag parallel execution mode turns it into
-// lookahead: all events within one MinDelay-wide time window are causally
-// independent across nodes, so they may execute concurrently. The engine
+// set), and the multi-process shard protocol turns it into lookahead: all
+// events within one MinDelay-wide time window are causally independent
+// across nodes, so shards may execute them concurrently. The engine
 // enforces the declaration at dispatch time — returning a delay below the
-// declared bound panics, in every execution mode.
+// declared bound panics, sharded or not.
 type Adversary interface {
 	// Delay returns the transit delay for the seq-th transmission (message
 	// or ack) on the directed link from→to.
 	Delay(from, to graph.NodeID, seq uint64, p Proto) float64
 	// MinDelay returns a positive lower bound d_min <= 1 such that every
 	// Delay call returns at least d_min. It is the conservative-simulation
-	// lookahead: larger bounds admit wider parallel windows.
+	// lookahead: larger bounds admit wider shard windows.
 	MinDelay() float64
 	// Name identifies the adversary in experiment tables.
 	Name() string
@@ -34,7 +34,7 @@ type Fixed struct{ D float64 }
 func (f Fixed) Delay(_, _ graph.NodeID, _ uint64, _ Proto) float64 { return clamp(f.D) }
 
 // MinDelay implements Adversary: every delay is exactly D (clamped), so the
-// lookahead is the whole delay — the best case for the parallel mode.
+// lookahead is the whole delay — the widest shard windows.
 func (f Fixed) MinDelay() float64 { return clamp(f.D) }
 
 // Name implements Adversary.

@@ -72,25 +72,8 @@ func (NopAck) Ack(*Node, graph.NodeID, Msg) {}
 // the topology (neighbor list only — nodes do not know the global graph),
 // sending, and producing output.
 type Node struct {
-	id graph.NodeID
-	// ctxIdx routes the node's effects: ctxDirect is the engine's direct
-	// context (ModeSingle and merges), k > 0 is worker context wctx[k-1]
-	// (exactly one worker owns a node inside a window, so the index is
-	// stable for the window's duration). An index instead of a pointer
-	// keeps Node at 16 bytes — the engine holds one Node per simulated node.
-	ctxIdx int32
-	sim    *Sim
-}
-
-// ctxDirect is the Node.ctxIdx value of the direct context.
-const ctxDirect int32 = 0
-
-// ctx resolves the node's execution context.
-func (n *Node) ctx() *execCtx {
-	if n.ctxIdx == ctxDirect {
-		return &n.sim.direct
-	}
-	return &n.sim.wctx[n.ctxIdx-1]
+	id  graph.NodeID
+	sim *Sim
 }
 
 // ID returns this node's identifier.
@@ -105,7 +88,7 @@ func (n *Node) Degree() int { return n.sim.g.Degree(n.id) }
 
 // Send enqueues m on the directed link to neighbor `to`. Panics if `to` is
 // not a neighbor: algorithms in this model can only talk over graph edges.
-func (n *Node) Send(to graph.NodeID, m Msg) { n.ctx().send(n.id, to, m) }
+func (n *Node) Send(to graph.NodeID, m Msg) { n.sim.send(n.id, to, m) }
 
 // Output records this node's final output for the problem being solved.
 // The simulator's time-to-output clock stops when the last node outputs.
@@ -114,13 +97,13 @@ func (n *Node) Send(to graph.NodeID, m Msg) { n.ctx().send(n.id, to, m) }
 // as typed wire.Body entries without boxing; anything else falls back to a
 // boxed escape slot. Algorithms with struct results should prefer
 // OutputBody with a registered outval decoder.
-func (n *Node) Output(v any) { n.ctx().setOutput(n.id, v) }
+func (n *Node) Output(v any) { n.sim.setOutput(n.id, v) }
 
 // OutputBody records this node's final output as a typed wire.Body —
 // the allocation-free path. The Kind must be non-zero and either one of
 // outval's reserved primitive kinds or a kind with a registered outval
 // decoder, so Result materialization can produce the user-facing value.
-func (n *Node) OutputBody(b wire.Body) { n.ctx().setOutputBody(n.id, b) }
+func (n *Node) OutputBody(b wire.Body) { n.sim.setOutputBody(n.id, b) }
 
 // HasOutput reports whether this node has already produced output.
 func (n *Node) HasOutput() bool { return n.sim.hasOut[n.sim.li(n.id)] }

@@ -72,52 +72,6 @@ func BenchmarkSimFloodFixed(b *testing.B) {
 	b.ReportMetric(float64(4*g.M()), "events/op")
 }
 
-// BenchmarkSimFloodParallel runs the flood on a larger grid under Fixed{1}
-// — full-unit lookahead, the bounded-lag executor's best case — in both
-// execution modes. On a single-core host the multi numbers measure pure
-// window/staging overhead; on real hardware they are the parallel speedup.
-func BenchmarkSimFloodParallel(b *testing.B) {
-	g := graph.Grid(60, 60)
-	adv := Fixed{D: 1}
-	mk := func(graph.NodeID) Handler { return &benchFlood{} }
-	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := New(g, adv, mk).WithMode(mode).Run()
-				if len(res.Outputs) != g.N() {
-					b.Fatalf("flood reached %d/%d nodes", len(res.Outputs), g.N())
-				}
-			}
-			b.ReportMetric(float64(4*g.M()), "events/op")
-		})
-	}
-}
-
-// BenchmarkSimFloodRandomModes is the tiny-lookahead regime:
-// SeededRandom's MinDelay is 2^-20, so the bounded-lag safe window almost
-// never holds more than one event and ModeMulti stays on its inline
-// staging path. The multi row prices that staging against ModeSingle.
-func BenchmarkSimFloodRandomModes(b *testing.B) {
-	g := graph.Grid(60, 60)
-	adv := SeededRandom{Seed: 7}
-	mk := func(graph.NodeID) Handler { return &benchFlood{} }
-	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := New(g, adv, mk).WithMode(mode).Run()
-				if len(res.Outputs) != g.N() {
-					b.Fatalf("flood reached %d/%d nodes", len(res.Outputs), g.N())
-				}
-			}
-			b.ReportMetric(float64(4*g.M()), "events/op")
-		})
-	}
-}
-
 // BenchmarkSimFloodReset measures the engine-reuse path: one engine,
 // rearmed with Reset per iteration, versus the fresh-engine construction
 // the other benchmarks pay.

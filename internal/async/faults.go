@@ -13,7 +13,7 @@ import (
 // intervals, link up/down epochs, and per-(link, transmission) message
 // drops. Every decision is a hash of (Seed, identity, epoch-or-seq) — no
 // state, no clock reads — so the schedule answers identically no matter
-// which execution mode, worker, or shard asks, and byte-identical runs
+// which shard asks, and byte-identical runs
 // stay byte-identical under faults.
 //
 // The crash model is a receive blackout: a node crashed at time t loses
@@ -187,7 +187,7 @@ func (f *FaultSchedule) CrashedSet(n int, e uint64) []graph.NodeID {
 
 // backoff is attempt k's retransmit delay: exponential in k, floored at
 // the adversary's declared MinDelay so a retransmission never lands inside
-// the bounded-lag safe window, capped at the normalized unit.
+// the current shard window, capped at the normalized unit.
 func (f *FaultSchedule) backoff(attempt uint8, lookahead float64) float64 {
 	base := f.Backoff
 	if base <= 0 {
@@ -312,7 +312,7 @@ func ParseFaultSpec(spec string) (*FaultSchedule, error) {
 }
 
 // Faulty wraps any delay adversary with a fault schedule. Delays — and the
-// MinDelay lookahead the bounded-lag executor builds windows from — pass
+// MinDelay lookahead the shard protocol builds windows from — pass
 // through unchanged; the engine unwraps the schedule at New/Reset and
 // consults it at dispatch, once per transmission attempt.
 type Faulty struct {

@@ -134,8 +134,8 @@ func (q *eventQueue) advance() *cqSlot {
 
 // popBefore removes the earliest event by (t, seq) and copies it into *ev
 // if its timestamp is strictly below limit; otherwise it leaves the queue
-// intact and reports false. The bounded-lag executor drains each shard's
-// window [wStart, wStart+lookahead) with it.
+// intact and reports false. ShardRunWindow drains its shard's window
+// [wStart, wStart+lookahead) with it.
 //
 // The earliest event is always in the first non-empty slot at or after cur:
 // tick(t) is monotone in t, slots hold only events of their own tick (or

@@ -18,9 +18,8 @@ import (
 //   - ShardInit / ShardRunWindow execute local handler code, staging all
 //     schedule calls;
 //   - the worker flushes the staged log (ShardStaged) to the coordinator,
-//     which k-way merges every shard's log by (trigT, trigSeq) — exactly
-//     the ModeMulti barrier merge, across processes — and grants event
-//     seqs in the merged order;
+//     which k-way merges every shard's log by (trigT, trigSeq) and grants
+//     event seqs in the merged order;
 //   - ShardGrant pushes locally-owned events with their granted seqs,
 //     ShardInject admits remote-born events routed here;
 //   - the coordinator opens the next window at the global minimum pending
@@ -73,11 +72,10 @@ func (s *Sim) BeginShard() {
 // ascending node order too.
 func (s *Sim) ShardInit() {
 	for i := range s.handlers {
-		s.direct.curSeq = uint64(s.nodeBase) + uint64(i)
+		s.curSeq = uint64(s.nodeBase) + uint64(i)
 		s.handlers[i].Init(&s.nodes[i])
 	}
-	s.direct.curSeq = 0
-	s.direct.now = 0
+	s.curSeq = 0
 }
 
 // ShardRunWindow drains every local event in [wStart, wStart+MinDelay)
@@ -86,15 +84,7 @@ func (s *Sim) ShardRunWindow(wStart float64) {
 	wEnd := wStart + s.lookahead
 	var ev event
 	for s.events.popBefore(wEnd, &ev) {
-		if ev.t < s.now {
-			panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
-		}
-		s.now = ev.t
-		s.steps++
-		if s.steps > s.maxEvents {
-			panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
-		}
-		s.direct.processEvent(&ev)
+		s.step(&ev)
 	}
 }
 
@@ -180,7 +170,7 @@ func (s *Sim) ShardResult() Result { return s.result() }
 // slot) and segment-carrying bodies have no cross-process representation
 // and error out.
 func (s *Sim) ShardRawOutputs(fn func(id graph.NodeID, b wire.Body) error) error {
-	outB := s.loadedOutBodies()
+	outB := s.outBodies
 	for i, has := range s.hasOut {
 		if !has {
 			continue

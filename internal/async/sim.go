@@ -3,46 +3,11 @@ package async
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/execpolicy"
 	"repro/internal/graph"
 	"repro/internal/outval"
 	"repro/internal/wire"
 )
-
-// ExecutionMode selects how Sim.Run consumes the event queue. Results are
-// byte-identical across modes; the choice is purely about wall-clock
-// performance.
-type ExecutionMode int
-
-const (
-	// ModeAuto picks ModeMulti when the graph is large enough to amortize
-	// per-window coordination, more than one CPU is available, and the
-	// adversary's lookahead makes safe windows worth a barrier; otherwise
-	// ModeSingle. The decision lives in execpolicy.AsyncAuto, shared with
-	// the lockstep runner's heuristic.
-	ModeAuto ExecutionMode = iota
-	// ModeSingle pops one event at a time on the calling goroutine.
-	ModeSingle
-	// ModeMulti executes bounded-lag time windows on a worker pool: per
-	// window, each worker drains its own node shard's event wheel, staging
-	// effects that merge deterministically at the window barrier.
-	ModeMulti
-)
-
-func (m ExecutionMode) String() string {
-	switch m {
-	case ModeAuto:
-		return "auto"
-	case ModeSingle:
-		return "single"
-	case ModeMulti:
-		return "multi"
-	}
-	return fmt.Sprintf("ExecutionMode(%d)", int(m))
-}
 
 // Sim is a deterministic discrete-event simulation of one asynchronous
 // execution: a graph, one Handler per node, and a delay adversary.
@@ -58,28 +23,23 @@ func (m ExecutionMode) String() string {
 // Variable-length segments come from a per-run arena and are recycled when
 // each message's lifecycle ends (after the sender's Ack callback).
 //
-// Run supports a bounded-lag parallel mode (ModeMulti): because every
+// Run pops one event at a time on the calling goroutine. The one parallel
+// path is the multi-process shard protocol (shard.go): because every
 // adversary declares a positive delay lower bound (Adversary.MinDelay),
 // all events inside one MinDelay-wide window are pairwise independent
-// across nodes — any event they cause lands at or beyond the window's end.
-// Events are owned by the node whose handler they invoke (deliveries by
-// the receiver, ack-returns by the sender), the calendar queue is sharded
-// by owner across the workers, and each worker executes its shard's window
-// slice in (t, seq) order against worker-private staging buffers. At the
-// window barrier the staged schedules merge in exactly the order the
-// serial engine would have issued them, so event sequence numbers — and
-// therefore every tie-break, every Result field, and the message trace —
-// are byte-identical to ModeSingle. Handlers on different nodes must not
-// share mutable state (read-only shared data is fine), the same contract
-// the lockstep runner's Multi mode imposes.
+// across nodes, so shards execute a window each and merge the staged
+// schedule calls in exactly the order this serial loop issues them.
+// Handlers on different nodes must therefore not share mutable state
+// (read-only shared data is fine): a sharded run places them in different
+// processes.
 type Sim struct {
 	g         *graph.Graph
 	adv       Adversary
 	lookahead float64 // adv.MinDelay(), validated at New/Reset
 	// faults is the schedule unwrapped from a Faulty adversary at New/Reset
 	// (nil when absent). It is consulted once per transmission attempt at
-	// dispatch — the same point in the event order in every execution mode,
-	// so fault decisions are byte-identical across Single/Multi/shard.
+	// dispatch — the same point in the event order serially and sharded,
+	// so fault decisions are byte-identical across the two.
 	faults   *FaultSchedule
 	handlers []Handler
 	nodes    []Node
@@ -92,22 +52,20 @@ type Sim struct {
 	// Whole graphs have base 0, so the subtraction is free noise there.
 	nodeBase graph.NodeID
 
-	// Shard-staged mode (see shard.go): direct-context schedule calls are
-	// appended to shardLog — keyed by the triggering event like ModeMulti
-	// staging — instead of entering the local queue, because event seqs
-	// are granted by the cross-process coordinator's merge.
+	// Shard-staged mode (see shard.go): schedule calls are appended to
+	// shardLog, keyed by the triggering event's (now, curSeq), instead of
+	// entering the local queue, because event seqs are granted by the
+	// cross-process coordinator's merge.
 	shardMode bool
 	shardLog  []stagedEv
 
-	mode        ExecutionMode
-	workers     int
-	minParallel int
-
-	events  eventQueue   // ModeSingle event store
-	shards  []eventQueue // ModeMulti per-worker event stores, by owner node
-	sharded bool
+	events  eventQueue
 	eventSq uint64
 	now     float64
+	// curSeq is the seq of the event being processed (ShardInit sets it
+	// to the initializing node's global id): the key of shard-staged
+	// schedule calls and of undeliverable trace entries.
+	curSeq uint64
 
 	// Per-directed-link hot state, indexed by graph.LinkID and split by
 	// temperature: busy is the 1-byte in-flight flag every send and ack
@@ -115,21 +73,16 @@ type Sim struct {
 	// consulted with (overflow-checked); boxes holds the lazily allocated
 	// contention queues — a slot stays nil until a send finds its link
 	// busy, so uncontended links cost 13 bytes, not an outbox struct.
-	// Box slots are only written by the link's owning worker, so lazy
-	// allocation is race-free in the parallel modes.
 	busy  []bool
 	txSeq []uint32
 	boxes []*outbox
 
 	// Outputs: typed bodies (Kind != 0) with a boxed escape hatch for
 	// values outval cannot encode (zero body slot, value in the any slot).
-	// Both value slabs are lazy — allocated once, on the first output of
-	// the respective kind, published via atomic pointer so concurrent
-	// owner-sharded workers agree on the slab before writing their own
-	// (disjoint) slots. Only the 1-byte hasOut column is eager.
-	outBodyP       atomic.Pointer[[]wire.Body]
-	outAnyP        atomic.Pointer[[]any]
-	outMu          sync.Mutex
+	// Both value slabs are lazy — nil until the first output of the
+	// respective kind. Only the 1-byte hasOut column is eager.
+	outBodies      []wire.Body
+	outAnys        []any
 	hasOut         []bool
 	outCount       int
 	lastOutputTime float64
@@ -158,25 +111,13 @@ type Sim struct {
 	// populate the queue.
 	resumed bool
 
-	// inWindow is true while a parallel window is in flight — between
-	// fan-out and barrier merge, the engine's counters are a committed
-	// prefix and Stats refuses to serve them as a snapshot.
-	inWindow bool
-
-	// direct is the apply-immediately execution context (ModeSingle and
-	// the Init phase); wctx are the ModeMulti worker contexts.
-	direct       execCtx
-	wctx         []execCtx
-	workerPanics []any
-	mergeCur     []int
-
 	// arena backs Body.Seg segments; sent segments return to it after the
 	// ack completes the message's lifecycle.
 	arena wire.Arena
 }
 
 // SpecStats is a retained shim: the speculative executor it accounted for
-// was removed because it lost to ModeSingle on every measured workload.
+// was removed because it lost to the serial loop on every measured workload.
 // The type and Sim.SpecStats survive only for perfbench, which still
 // reports the counters; they are always zero.
 type SpecStats struct {
@@ -201,11 +142,9 @@ const (
 )
 
 // TraceEntry records one delivered message (KeepTrace). Entries appear in
-// delivery order — the engine's (t, seq) event order — and are identical
-// across execution modes. Note that for segment-carrying bodies the Seg
-// handle value, not its contents, is recorded; concurrent arena allocation
-// in ModeMulti may assign different handles than ModeSingle (no shipped
-// protocol carries segments in traced runs).
+// delivery order — the engine's (t, seq) event order. Note that for
+// segment-carrying bodies the Seg handle value, not its contents, is
+// recorded (no shipped protocol carries segments in traced runs).
 type TraceEntry struct {
 	T        float64
 	Seq      uint64
@@ -261,23 +200,20 @@ type Result struct {
 func New(g *graph.Graph, adv Adversary, mk func(id graph.NodeID) Handler) *Sim {
 	g.Finalize()
 	s := &Sim{
-		g:           g,
-		adv:         adv,
-		lookahead:   checkedLookahead(adv),
-		faults:      faultsOf(adv),
-		nodeBase:    g.NodeBase(),
-		handlers:    make([]Handler, g.NLocal()),
-		nodes:       make([]Node, g.NLocal()),
-		busy:        make([]bool, g.Links()),
-		txSeq:       make([]uint32, g.Links()),
-		boxes:       make([]*outbox, g.Links()),
-		hasOut:      make([]bool, g.NLocal()),
-		maxEvents:   1 << 34,
-		workers:     execpolicy.DefaultWorkers(),
-		minParallel: defaultMinParallel,
-		mk:          mk,
+		g:         g,
+		adv:       adv,
+		lookahead: checkedLookahead(adv),
+		faults:    faultsOf(adv),
+		nodeBase:  g.NodeBase(),
+		handlers:  make([]Handler, g.NLocal()),
+		nodes:     make([]Node, g.NLocal()),
+		busy:      make([]bool, g.Links()),
+		txSeq:     make([]uint32, g.Links()),
+		boxes:     make([]*outbox, g.Links()),
+		hasOut:    make([]bool, g.NLocal()),
+		maxEvents: 1 << 34,
+		mk:        mk,
 	}
-	s.direct = execCtx{s: s, direct: true}
 	for i := 0; i < g.NLocal(); i++ {
 		id := s.nodeBase + graph.NodeID(i)
 		s.nodes[i] = Node{id: id, sim: s}
@@ -299,40 +235,11 @@ func checkedLookahead(adv Adversary) float64 {
 	return la
 }
 
-// defaultMinParallel is the smallest queue population for which a ModeMulti
-// window fans out to goroutines; smaller windows run their shards inline
-// (through the same staging, so results are identical either way).
-const defaultMinParallel = 128
-
-// WithMode selects the execution mode (default ModeAuto).
-func (s *Sim) WithMode(m ExecutionMode) *Sim { s.mode = m; return s }
-
-// WithWorkers caps the parallel worker pool (default GOMAXPROCS, capped by
-// execpolicy.MaxWorkers). ModeAuto additionally clamps the pool to
-// GOMAXPROCS; a forced parallel mode keeps an oversubscribed count (tests
-// force 4 workers on 1 CPU to exercise the concurrent paths).
-func (s *Sim) WithWorkers(k int) *Sim {
-	execpolicy.ValidateWorkers("async", k)
-	s.workers = k
-	return s
-}
-
 // SpecStats always returns the zero value (see the SpecStats type).
 func (s *Sim) SpecStats() SpecStats { return SpecStats{} }
 
-// WithMinParallel sets the smallest queue population for which a ModeMulti
-// window fans out to goroutines (default 128); tests lower it to force the
-// concurrent path on small graphs — results are byte-identical regardless.
-func (s *Sim) WithMinParallel(k int) *Sim {
-	if k < 1 {
-		panic(fmt.Sprintf("async: parallel threshold %d < 1", k))
-	}
-	s.minParallel = k
-	return s
-}
-
 // KeepTrace enables message-trace recording (determinism tests compare
-// traces across execution modes).
+// traces across runs).
 func (s *Sim) KeepTrace() *Sim { s.keepTrace = true; return s }
 
 // DenseOutputs makes Run return outputs as the dense OutBodies/OutSet pair
@@ -342,8 +249,7 @@ func (s *Sim) KeepTrace() *Sim { s.keepTrace = true; return s }
 func (s *Sim) DenseOutputs() *Sim { s.denseOut = true; return s }
 
 // SetMaxEvents caps the number of processed events; exceeding it panics
-// (runaway protocols are bugs, not conditions to limp through). In
-// ModeMulti the cap is checked at window barriers.
+// (runaway protocols are bugs, not conditions to limp through).
 func (s *Sim) SetMaxEvents(limit uint64) { s.maxEvents = limit }
 
 // Handler returns node v's handler (tests use this to inspect final state).
@@ -354,27 +260,17 @@ func (s *Sim) Graph() *graph.Graph { return s.g }
 
 // Stats snapshots the costs accrued so far: the current simulation time
 // and the message/ack counters, with the per-protocol breakdown
-// materialized as a map. In ModeSingle the snapshot is exact at any point.
-// In ModeMulti the counters are the committed prefix — everything up to
-// the last window barrier. Calling Stats while a parallel window is
-// actually in flight — possible only from another goroutine or from
-// inside a handler — panics instead of returning numbers that are stale
-// by an unknowable in-flight amount. core.SynchronizeUnknownBound bills
-// doubling attempts that abort before Run returns (Theorem 5.4's Σ 2^t
+// materialized as a map. The snapshot is exact at any point, including
+// from inside a handler. core.SynchronizeUnknownBound bills doubling
+// attempts that abort before Run returns (Theorem 5.4's Σ 2^t
 // accounting) from this snapshot.
 func (s *Sim) Stats() (now float64, msgs, acks uint64, perProto map[Proto]uint64) {
-	if s.inWindow {
-		panic("async: Stats called while a parallel window is in flight; mid-run snapshots are defined only between barriers (or any time in ModeSingle)")
-	}
 	return s.now, s.msgs, s.acks, s.perProtoMap()
 }
 
-// FaultStats snapshots the fault-plane counters, under the same
-// committed-prefix contract as Stats.
+// FaultStats snapshots the fault-plane counters, exact at any point like
+// Stats.
 func (s *Sim) FaultStats() (dropped, retrans, undeliverable uint64) {
-	if s.inWindow {
-		panic("async: FaultStats called while a parallel window is in flight")
-	}
 	return s.dropped, s.retrans, s.undeliv
 }
 
@@ -388,53 +284,12 @@ func (s *Sim) perProtoMap() map[Proto]uint64 {
 	return pp
 }
 
-// outBodies returns the typed-output slab, allocating and publishing it on
-// first use. Workers write only their owned nodes' slots; the atomic
-// pointer publication orders the allocation before any cross-worker read.
-func (s *Sim) outBodies() []wire.Body {
-	if p := s.outBodyP.Load(); p != nil {
-		return *p
+// bodySlab returns the typed-output slab, allocating it on first use.
+func (s *Sim) bodySlab() []wire.Body {
+	if s.outBodies == nil {
+		s.outBodies = make([]wire.Body, s.g.NLocal())
 	}
-	s.outMu.Lock()
-	defer s.outMu.Unlock()
-	if p := s.outBodyP.Load(); p != nil {
-		return *p
-	}
-	sl := make([]wire.Body, s.g.NLocal())
-	s.outBodyP.Store(&sl)
-	return sl
-}
-
-// outAnys is outBodies' counterpart for the boxed escape slab.
-func (s *Sim) outAnys() []any {
-	if p := s.outAnyP.Load(); p != nil {
-		return *p
-	}
-	s.outMu.Lock()
-	defer s.outMu.Unlock()
-	if p := s.outAnyP.Load(); p != nil {
-		return *p
-	}
-	sl := make([]any, s.g.NLocal())
-	s.outAnyP.Store(&sl)
-	return sl
-}
-
-// loadedOutBodies returns the typed-output slab or nil if no typed output
-// has ever been recorded (readers treat nil as all-zero).
-func (s *Sim) loadedOutBodies() []wire.Body {
-	if p := s.outBodyP.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// loadedOutAnys is loadedOutBodies' counterpart for the boxed slab.
-func (s *Sim) loadedOutAnys() []any {
-	if p := s.outAnyP.Load(); p != nil {
-		return *p
-	}
-	return nil
+	return s.outBodies
 }
 
 // Reset rearms the engine for another run on the same graph: counters,
@@ -450,14 +305,9 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	s.running = false
 	s.resumed = false
 	s.events.reset()
-	for k := range s.shards {
-		s.shards[k].reset()
-	}
-	s.sharded = false
 	s.eventSq = 0
 	s.now = 0
-	s.direct.now = 0
-	s.direct.curSeq = 0
+	s.curSeq = 0
 	s.steps = 0
 	for i, ob := range s.boxes {
 		s.busy[i] = false
@@ -470,15 +320,14 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	}
 	// The lazily built output slabs stay allocated (pooled growth); only
 	// their contents clear.
-	outB, outA := s.loadedOutBodies(), s.loadedOutAnys()
 	for i := range s.hasOut {
 		s.hasOut[i] = false
 	}
-	for i := range outB {
-		outB[i] = wire.Body{}
+	for i := range s.outBodies {
+		s.outBodies[i] = wire.Body{}
 	}
-	for i := range outA {
-		outA[i] = nil
+	for i := range s.outAnys {
+		s.outAnys[i] = nil
 	}
 	s.outCount = 0
 	s.lastOutputTime = 0
@@ -488,31 +337,11 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 		s.perProto[i] = 0
 	}
 	s.trace = s.trace[:0]
-	// Clear worker staging state: a run that panicked mid-window (the
-	// recoverable engine-panic idiom core.tryBound relies on) leaves
-	// staged events, counters, and possibly a recorded panic behind.
-	for k := range s.wctx {
-		c := &s.wctx[k]
-		c.now, c.maxT, c.lastOut = 0, 0, 0
-		c.curSeq, c.msgs, c.acks, c.steps = 0, 0, 0, 0
-		c.dropped, c.retrans, c.undeliv = 0, 0, 0
-		c.outCount = 0
-		for i := range c.perProto {
-			c.perProto[i] = 0
-		}
-		c.staged = c.staged[:0]
-		c.trace = c.trace[:0]
-	}
-	for k := range s.workerPanics {
-		s.workerPanics[k] = nil
-	}
-	s.inWindow = false
 	s.mk = mk
 	s.arena.Reset()
 	s.shardMode = false
 	s.shardLog = s.shardLog[:0]
 	for i := range s.handlers {
-		s.nodes[i].ctxIdx = ctxDirect
 		s.handlers[i] = mk(s.nodeBase + graph.NodeID(i))
 	}
 }
@@ -526,22 +355,6 @@ func (s *Sim) Run() Result {
 		panic("async: Run on a Subrange view; shard engines are driven by the internal/shard protocol")
 	}
 	s.running = true
-	mode := s.mode
-	if mode == ModeAuto {
-		mode = ModeSingle
-		if execpolicy.AsyncAuto(s.workers, s.g.Links(), s.lookahead, false) == execpolicy.AsyncWindows {
-			mode = ModeMulti
-		}
-	}
-	if mode == ModeMulti {
-		s.runWindows()
-	} else {
-		s.runSerial()
-	}
-	return s.result()
-}
-
-func (s *Sim) runSerial() {
 	if !s.resumed {
 		for i := range s.handlers {
 			s.handlers[i].Init(&s.nodes[i])
@@ -550,250 +363,23 @@ func (s *Sim) runSerial() {
 	var ev event
 	for !s.events.empty() {
 		s.events.pop(&ev)
-		if ev.t < s.now {
-			panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
-		}
-		s.now = ev.t
-		s.steps++
-		if s.steps > s.maxEvents {
-			panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
-		}
-		s.direct.processEvent(&ev)
+		s.step(&ev)
 	}
+	return s.result()
 }
 
-// runWindows is the bounded-lag executor: repeatedly take the earliest
-// queued timestamp wStart, execute every event in [wStart, wStart +
-// lookahead) — the adversary's MinDelay guarantees no event processed in
-// the window can schedule anything inside it, in exact floating-point
-// arithmetic too, since fl(t+d) is monotone in t and d — and merge the
-// staged effects deterministically at the barrier.
-func (s *Sim) runWindows() {
-	w := s.workers
-	if w < 1 {
-		w = 1
+// step advances the clock to ev and executes it: the one event step that
+// Run, RunSteps and ShardRunWindow share.
+func (s *Sim) step(ev *event) {
+	if ev.t < s.now {
+		panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
 	}
-	s.ensureWindowState(w)
-	s.sharded = true
-	defer func() {
-		s.sharded = false
-		s.inWindow = false
-		for i := range s.nodes {
-			s.nodes[i].ctxIdx = ctxDirect
-		}
-	}()
-	// Init runs serially through the direct context (its schedules route
-	// to the shards), exactly as in ModeSingle. A resumed run skips Init —
-	// its events were restored into the serial queue and are dealt to the
-	// owner shards instead, identities (t, seq) intact.
-	if s.resumed {
-		s.dealRestoredEvents()
-	} else {
-		for i := range s.handlers {
-			s.handlers[i].Init(&s.nodes[i])
-		}
-	}
-	for i := range s.nodes {
-		s.nodes[i].ctxIdx = int32(i%w) + 1
-	}
-	// Fan out to goroutines only when windows are actually populated: the
-	// previous window's event count is the predictor (window occupancy is
-	// unknowable before draining, and total queue size is the wrong
-	// proxy — a tiny-lookahead adversary keeps thousands of events queued
-	// while every window holds one). A forced ModeMulti under such an
-	// adversary therefore stays on the inline staging path — same merge,
-	// same results, no per-event goroutine barrier.
-	prevWindow := 0
-	for {
-		wStart, ok := s.minShardT()
-		if !ok {
-			break
-		}
-		if wStart < s.now {
-			panic(fmt.Sprintf("async: time went backwards: %g < %g", wStart, s.now))
-		}
-		wEnd := wStart + s.lookahead
-		s.inWindow = true
-		if w == 1 || prevWindow < s.minParallel {
-			for k := range s.shards {
-				s.runShard(k, wEnd)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for k := 0; k < w; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					defer func() {
-						if p := recover(); p != nil {
-							s.workerPanics[k] = p
-						}
-					}()
-					s.runShard(k, wEnd)
-				}(k)
-			}
-			wg.Wait()
-			for k := 0; k < w; k++ {
-				if p := s.workerPanics[k]; p != nil {
-					panic(p)
-				}
-			}
-		}
-		stepsBefore := s.steps
-		s.mergeWindow()
-		s.inWindow = false
-		prevWindow = int(s.steps - stepsBefore)
-	}
-}
-
-// ensureWindowState sizes the shard queues and worker contexts, reusing
-// them across Reset cycles when the worker count is unchanged.
-func (s *Sim) ensureWindowState(w int) {
-	if len(s.shards) != w {
-		s.shards = make([]eventQueue, w)
-		s.wctx = make([]execCtx, w)
-		for k := range s.wctx {
-			s.wctx[k] = execCtx{s: s}
-		}
-		s.workerPanics = make([]any, w)
-		s.mergeCur = make([]int, w)
-	}
-	for k := range s.wctx {
-		c := &s.wctx[k]
-		c.maxT = 0
-		c.lastOut = 0
-	}
-}
-
-// dealRestoredEvents moves snapshot-restored events from the serial queue
-// into the owner shards of a parallel run. Sequence numbers survived the
-// snapshot, so shard pop order — and therefore the continuation — matches
-// the serial engine's exactly.
-func (s *Sim) dealRestoredEvents() {
-	var ev event
-	for !s.events.empty() {
-		s.events.pop(&ev)
-		s.shards[int(ownerOf(&ev))%len(s.shards)].push(&ev)
-	}
-}
-
-// minShardT returns the earliest timestamp across all shards.
-func (s *Sim) minShardT() (float64, bool) {
-	best, any := 0.0, false
-	for k := range s.shards {
-		if t, ok := s.shards[k].minT(); ok && (!any || t < best) {
-			best, any = t, true
-		}
-	}
-	return best, any
-}
-
-// runShard drains one shard's slice of the window in (t, seq) order.
-func (s *Sim) runShard(k int, wEnd float64) {
-	c := &s.wctx[k]
-	q := &s.shards[k]
-	var ev event
-	for q.popBefore(wEnd, &ev) {
-		c.steps++
-		c.maxT = ev.t // shards pop in nondecreasing t
-		c.processEvent(&ev)
-	}
-}
-
-// mergeWindow folds every worker's staged effects back into the engine in
-// the exact order the serial engine would have produced them: counters are
-// plain sums and maxima; staged schedules and trace entries k-way merge by
-// their triggering event's (t, seq) — each worker's buffer is already
-// sorted by that key because shards process their events in order, and no
-// key appears in two buffers because each event has one owner.
-func (s *Sim) mergeWindow() {
-	for k := range s.wctx {
-		c := &s.wctx[k]
-		s.msgs += c.msgs
-		s.acks += c.acks
-		s.steps += c.steps
-		s.dropped += c.dropped
-		s.retrans += c.retrans
-		s.undeliv += c.undeliv
-		s.outCount += c.outCount
-		c.msgs, c.acks, c.steps, c.outCount = 0, 0, 0, 0
-		c.dropped, c.retrans, c.undeliv = 0, 0, 0
-		if c.lastOut > s.lastOutputTime {
-			s.lastOutputTime = c.lastOut
-		}
-		if c.maxT > s.now {
-			s.now = c.maxT
-		}
-		for p, n := range c.perProto {
-			if n != 0 {
-				s.perProto = bumpProtoBy(s.perProto, Proto(p), n)
-				c.perProto[p] = 0
-			}
-		}
-	}
+	s.now = ev.t
+	s.steps++
 	if s.steps > s.maxEvents {
 		panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
 	}
-	// Merge staged schedules; seq assignment happens in merge order, which
-	// reproduces the serial engine's schedule-call order exactly.
-	mergeWorkerLists(s.mergeCur, len(s.wctx),
-		func(k int) []stagedEv { return s.wctx[k].staged },
-		stagedLess,
-		func(se *stagedEv) { s.schedule(&se.ev) })
-	for k := range s.wctx {
-		s.wctx[k].staged = s.wctx[k].staged[:0]
-	}
-	if s.keepTrace {
-		mergeWorkerLists(s.mergeCur, len(s.wctx),
-			func(k int) []TraceEntry { return s.wctx[k].trace },
-			traceLess,
-			func(te *TraceEntry) { s.trace = append(s.trace, *te) })
-		for k := range s.wctx {
-			s.wctx[k].trace = s.wctx[k].trace[:0]
-		}
-	}
-}
-
-// mergeWorkerLists k-way merges the workers' per-window buffers. Each list
-// is already sorted by `less` (workers emit in their shard's (t, seq)
-// processing order) and no key appears in two lists (one owner per event),
-// so a stable scan-for-minimum reproduces the global serial order.
-func mergeWorkerLists[T any](cur []int, n int, list func(k int) []T,
-	less func(a, b *T) bool, emit func(*T)) {
-	for k := 0; k < n; k++ {
-		cur[k] = 0
-	}
-	for {
-		best := -1
-		for k := 0; k < n; k++ {
-			l := list(k)
-			if cur[k] == len(l) {
-				continue
-			}
-			if best < 0 || less(&l[cur[k]], &list(best)[cur[best]]) {
-				best = k
-			}
-		}
-		if best < 0 {
-			return
-		}
-		emit(&list(best)[cur[best]])
-		cur[best]++
-	}
-}
-
-func stagedLess(a, b *stagedEv) bool {
-	if a.trigT != b.trigT {
-		return a.trigT < b.trigT
-	}
-	return a.trigSeq < b.trigSeq
-}
-
-func traceLess(a, b *TraceEntry) bool {
-	if a.T != b.T {
-		return a.T < b.T
-	}
-	return a.Seq < b.Seq
+	s.processEvent(ev)
 }
 
 // result materializes the run's Result at the engine boundary.
@@ -811,7 +397,7 @@ func (s *Sim) result() Result {
 	if s.keepTrace {
 		res.Trace = append([]TraceEntry(nil), s.trace...)
 	}
-	outB, outA := s.loadedOutBodies(), s.loadedOutAnys()
+	outB, outA := s.outBodies, s.outAnys
 	bodyAt := func(i int) wire.Body {
 		if outB == nil {
 			return wire.Body{}
@@ -851,7 +437,7 @@ func (s *Sim) result() Result {
 	return res
 }
 
-// DecodedOutputs materializes the user-facing output map of a dense-mode
+// DecodedOutputs materializes the user-facing output map of a DenseOutputs
 // Result (for the default mode it is already in Outputs). Hot loops that
 // discard intermediate outputs skip this; boundaries that keep the final
 // iteration's outputs call it once.
@@ -868,33 +454,6 @@ func (r *Result) DecodedOutputs() map[graph.NodeID]any {
 	return outputs
 }
 
-// execCtx is one execution context: the direct (apply-immediately) context
-// of the serial engine and Init phase, or one ModeMulti worker's private
-// staging state. A single code path serves both — the hot-path branch on
-// `direct` keeps the two modes impossible to drift apart.
-type execCtx struct {
-	s      *Sim
-	direct bool
-
-	// now/curSeq identify the event being processed (the parallel schedule
-	// staging keys on them; the direct context mirrors Sim.now).
-	now    float64
-	curSeq uint64
-
-	// Worker-private effect staging, merged at the window barrier.
-	msgs, acks uint64
-	steps      uint64
-	dropped    uint64
-	retrans    uint64
-	undeliv    uint64
-	outCount   int
-	lastOut    float64
-	maxT       float64
-	perProto   []uint64
-	staged     []stagedEv
-	trace      []TraceEntry
-}
-
 // stagedEv is one deferred schedule call, keyed by the event that issued it.
 type stagedEv struct {
 	ev      event
@@ -902,29 +461,18 @@ type stagedEv struct {
 	trigSeq uint64
 }
 
-// processEvent executes one event against this context.
-func (c *execCtx) processEvent(ev *event) {
-	s := c.s
-	c.now = ev.t
-	c.curSeq = ev.seq
+// processEvent executes one event at the current time s.now.
+func (s *Sim) processEvent(ev *event) {
+	s.curSeq = ev.seq
 	switch ev.kind {
 	case evDeliver:
 		if s.keepTrace {
-			te := TraceEntry{T: ev.t, Seq: ev.seq, From: ev.src, To: ev.dst, Msg: ev.msg}
-			if c.direct {
-				s.trace = append(s.trace, te)
-			} else {
-				c.trace = append(c.trace, te)
-			}
+			s.trace = append(s.trace, TraceEntry{T: ev.t, Seq: ev.seq, From: ev.src, To: ev.dst, Msg: ev.msg})
 		}
 		dst := s.li(ev.dst)
 		s.handlers[dst].Recv(&s.nodes[dst], ev.src, ev.msg)
 		// Ack travels back; its arrival frees the link.
-		if c.direct {
-			s.acks++
-		} else {
-			c.acks++
-		}
+		s.acks++
 		// The return path. A negative link marks a remote-injected delivery
 		// (shard mode): the forward link lives on the sender's shard, so the
 		// injector encoded the local back link as its complement instead of
@@ -938,11 +486,11 @@ func (c *execCtx) processEvent(ev *event) {
 		d := s.adv.Delay(ev.dst, ev.src, uint64(s.txSeq[back]), ev.msg.Proto)
 		s.bumpTx(back)
 		s.checkDelay(d)
-		c.schedule(&event{t: c.now + d, kind: evAckArrive, link: ev.link, src: ev.src, dst: ev.dst, msg: ev.msg})
+		s.schedule(&event{t: s.now + d, kind: evAckArrive, link: ev.link, src: ev.src, dst: ev.dst, msg: ev.msg})
 	case evAckArrive:
 		// ev.src is the original sender whose link is now free.
 		s.busy[ev.link] = false
-		c.dispatch(ev.src, ev.dst, ev.link)
+		s.dispatch(ev.src, ev.dst, ev.link)
 		src := s.li(ev.src)
 		s.handlers[src].Ack(&s.nodes[src], ev.dst, ev.msg)
 		// The ack ends the message's lifecycle; recycle any segment
@@ -952,29 +500,23 @@ func (c *execCtx) processEvent(ev *event) {
 		// A backoff timer fired: retry the lost transmission. The link has
 		// stayed in flight since the original send, so the attempt re-enters
 		// at transmit, not send — no handler runs for this event.
-		s.transmit(c, ev.src, ev.dst, ev.link, &ev.msg, ev.attempt)
+		s.transmit(ev.src, ev.dst, ev.link, &ev.msg, ev.attempt)
 	}
 }
 
-func (c *execCtx) send(from, to graph.NodeID, m Msg) {
-	s := c.s
+func (s *Sim) send(from, to graph.NodeID, m Msg) {
 	l := s.g.LinkBetween(from, to)
 	if l < 0 {
 		panic(fmt.Sprintf("async: node %d sending to non-neighbor %d", from, to))
 	}
-	if c.direct {
-		s.msgs++
-		s.perProto = bumpProtoBy(s.perProto, m.Proto, 1)
-	} else {
-		c.msgs++
-		c.perProto = bumpProtoBy(c.perProto, m.Proto, 1)
-	}
+	s.msgs++
+	s.perProto = bumpProtoBy(s.perProto, m.Proto, 1)
 	if !s.busy[l] {
 		// Uncontended fast path: an idle link's queue is necessarily empty
 		// (a queued message implies an in-flight one), so push+pop of this
 		// single message collapses to direct injection — no outbox is ever
 		// allocated for a link that never queues behind an in-flight send.
-		s.inject(c, from, to, l, &m)
+		s.inject(from, to, l, &m)
 		return
 	}
 	ob := s.boxes[l]
@@ -987,9 +529,9 @@ func (c *execCtx) send(from, to graph.NodeID, m Msg) {
 
 // inject marks the link in flight and performs the first transmission
 // attempt.
-func (s *Sim) inject(c *execCtx, from, to graph.NodeID, l graph.LinkID, m *Msg) {
+func (s *Sim) inject(from, to graph.NodeID, l graph.LinkID, m *Msg) {
 	s.busy[l] = true
-	s.transmit(c, from, to, l, m, 0)
+	s.transmit(from, to, l, m, 0)
 }
 
 // transmit performs transmission attempt `attempt` on an in-flight link:
@@ -1001,32 +543,24 @@ func (s *Sim) inject(c *execCtx, from, to graph.NodeID, l graph.LinkID, m *Msg) 
 // transmission sequence, so the adversary and the drop hash both see it as
 // a new transmission. With no fault schedule this is exactly the old
 // single-attempt dispatch.
-func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m *Msg, attempt uint8) {
+func (s *Sim) transmit(from, to graph.NodeID, l graph.LinkID, m *Msg, attempt uint8) {
 	txs := uint64(s.txSeq[l])
 	d := s.adv.Delay(from, to, txs, m.Proto)
 	s.bumpTx(l)
 	s.checkDelay(d)
-	td := c.now + d
+	td := s.now + d
 	if s.faults == nil || !s.faults.Lost(from, to, txs, td) {
-		c.schedule(&event{t: td, kind: evDeliver, link: l, src: from, dst: to, msg: *m})
+		s.schedule(&event{t: td, kind: evDeliver, link: l, src: from, dst: to, msg: *m})
 		return
 	}
-	if c.direct {
-		s.dropped++
-	} else {
-		c.dropped++
-	}
+	s.dropped++
 	if int(attempt) >= s.faults.Budget {
-		c.undeliverable(from, to, l, *m)
+		s.undeliverable(from, to, l, *m)
 		return
 	}
-	if c.direct {
-		s.retrans++
-	} else {
-		c.retrans++
-	}
+	s.retrans++
 	b := s.faults.backoff(attempt, s.lookahead)
-	c.schedule(&event{t: c.now + b, kind: evRetrans, link: l, src: from, dst: to, msg: *m, attempt: attempt + 1})
+	s.schedule(&event{t: s.now + b, kind: evRetrans, link: l, src: from, dst: to, msg: *m, attempt: attempt + 1})
 }
 
 // undeliverable abandons a message whose retransmit budget is exhausted:
@@ -1035,24 +569,14 @@ func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m *Msg
 // ack ends here), free the link, and dispatch its next queued message. The
 // engine always quiesces — protocol-level stalls under faults are surfaced
 // by watchdogs (core.StallReport), never as hangs.
-func (c *execCtx) undeliverable(from, to graph.NodeID, l graph.LinkID, m Msg) {
-	s := c.s
-	if c.direct {
-		s.undeliv++
-	} else {
-		c.undeliv++
-	}
+func (s *Sim) undeliverable(from, to graph.NodeID, l graph.LinkID, m Msg) {
+	s.undeliv++
 	if s.keepTrace {
-		te := TraceEntry{T: c.now, Seq: c.curSeq, From: from, To: to, Msg: m, Kind: TraceUndeliverable}
-		if c.direct {
-			s.trace = append(s.trace, te)
-		} else {
-			c.trace = append(c.trace, te)
-		}
+		s.trace = append(s.trace, TraceEntry{T: s.now, Seq: s.curSeq, From: from, To: to, Msg: m, Kind: TraceUndeliverable})
 	}
 	s.arena.Release(m.Body.Seg)
 	s.busy[l] = false
-	c.dispatch(from, to, l)
+	s.dispatch(from, to, l)
 }
 
 // bumpTx advances a link's transmission sequence, failing loudly before
@@ -1067,8 +591,7 @@ func (s *Sim) bumpTx(l graph.LinkID) {
 
 // dispatch injects the next queued message of the (from,to) link, if any.
 // Links that never contended have no outbox and return immediately.
-func (c *execCtx) dispatch(from, to graph.NodeID, l graph.LinkID) {
-	s := c.s
+func (s *Sim) dispatch(from, to graph.NodeID, l graph.LinkID) {
 	ob := s.boxes[l]
 	if ob == nil {
 		return
@@ -1077,12 +600,12 @@ func (c *execCtx) dispatch(from, to graph.NodeID, l graph.LinkID) {
 	if !ok {
 		return
 	}
-	s.inject(c, from, to, l, &m)
+	s.inject(from, to, l, &m)
 }
 
 // checkDelay enforces both the model's (0,1] delay contract and the
-// adversary's own MinDelay declaration — the bounded-lag mode's safety
-// rests on the latter, so violating it fails loudly in every mode.
+// adversary's own MinDelay declaration — the shard window protocol's
+// safety rests on the latter, so violating it fails loudly in every run.
 func (s *Sim) checkDelay(d float64) {
 	if d <= 0 || d > 1 {
 		panic(fmt.Sprintf("async: adversary %q returned delay %g outside (0,1]", s.adv.Name(), d))
@@ -1093,37 +616,22 @@ func (s *Sim) checkDelay(d float64) {
 	}
 }
 
-func (c *execCtx) schedule(ev *event) {
-	if c.direct {
-		s := c.s
-		if s.shardMode {
-			// Event seqs are assigned by the coordinator's cross-shard
-			// merge; park the call keyed by its triggering event, exactly
-			// like ModeMulti worker staging.
-			s.shardLog = append(s.shardLog, stagedEv{ev: *ev, trigT: c.now, trigSeq: c.curSeq})
-			return
-		}
-		s.schedule(ev)
+// schedule issues one event: straight into the queue with the next seq,
+// or — in shard mode, where event seqs are assigned by the coordinator's
+// cross-shard merge — parked in shardLog keyed by its triggering event.
+func (s *Sim) schedule(ev *event) {
+	if s.shardMode {
+		s.shardLog = append(s.shardLog, stagedEv{ev: *ev, trigT: s.now, trigSeq: s.curSeq})
 		return
 	}
-	c.staged = append(c.staged, stagedEv{ev: *ev, trigT: c.now, trigSeq: c.curSeq})
-}
-
-func (s *Sim) schedule(ev *event) {
 	ev.seq = s.eventSq
 	s.eventSq++
-	if s.sharded {
-		s.shards[int(ownerOf(ev))%len(s.shards)].push(ev)
-	} else {
-		s.events.push(ev)
-	}
+	s.events.push(ev)
 }
 
 // ownerOf is the node whose handler the event invokes: deliveries run the
-// receiver, ack-returns run the original sender. Owner-sharding makes every
-// piece of state an event touches — the handler, the node's outgoing
-// outboxes and transmission counters, its output slot — private to one
-// worker within a window.
+// receiver, ack-returns run the original sender. A sharded run executes
+// each event on its owner's shard.
 func ownerOf(ev *event) graph.NodeID {
 	if ev.kind == evDeliver {
 		return ev.dst
@@ -1133,52 +641,45 @@ func ownerOf(ev *event) graph.NodeID {
 
 // noteFirstOutput updates the time-to-output clock for a node's first
 // Output call.
-func (c *execCtx) noteFirstOutput() {
-	s := c.s
-	if c.direct {
-		s.outCount++
-		if s.now > s.lastOutputTime {
-			s.lastOutputTime = s.now
-		}
-		return
-	}
-	c.outCount++
-	if c.now > c.lastOut {
-		c.lastOut = c.now
+func (s *Sim) noteFirstOutput() {
+	s.outCount++
+	if s.now > s.lastOutputTime {
+		s.lastOutputTime = s.now
 	}
 }
 
-func (c *execCtx) setOutputBody(id graph.NodeID, b wire.Body) {
+func (s *Sim) setOutputBody(id graph.NodeID, b wire.Body) {
 	if b.Kind == 0 {
 		panic(fmt.Sprintf("async: node %d output a Body with zero Kind", id))
 	}
-	s := c.s
 	i := s.li(id)
 	if !s.hasOut[i] {
 		s.hasOut[i] = true
-		c.noteFirstOutput()
+		s.noteFirstOutput()
 	}
-	s.outBodies()[i] = b
-	if outA := s.loadedOutAnys(); outA != nil {
-		outA[i] = nil
+	s.bodySlab()[i] = b
+	if s.outAnys != nil {
+		s.outAnys[i] = nil
 	}
 }
 
-func (c *execCtx) setOutput(id graph.NodeID, v any) {
+func (s *Sim) setOutput(id graph.NodeID, v any) {
 	if b, ok := outval.Encode(v); ok {
-		c.setOutputBody(id, b)
+		s.setOutputBody(id, b)
 		return
 	}
-	s := c.s
 	i := s.li(id)
 	if !s.hasOut[i] {
 		s.hasOut[i] = true
-		c.noteFirstOutput()
+		s.noteFirstOutput()
 	}
-	if outB := s.loadedOutBodies(); outB != nil {
-		outB[i] = wire.Body{}
+	if s.outBodies != nil {
+		s.outBodies[i] = wire.Body{}
 	}
-	s.outAnys()[i] = v
+	if s.outAnys == nil {
+		s.outAnys = make([]any, s.g.NLocal())
+	}
+	s.outAnys[i] = v
 }
 
 // bumpProtoBy adds n to the dense per-proto counter, growing the slice to

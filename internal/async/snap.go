@@ -15,7 +15,7 @@ import (
 // the frame into an engine built over the same graph, adversary, and
 // handler constructor reproduces the interrupted run exactly: the
 // continuation's Results, outputs, and traces are byte-identical to the
-// uninterrupted run, in every execution mode.
+// uninterrupted run, serial or sharded.
 //
 // The frame is relocatable: nodes are keyed by global id, links by their
 // (from, to) endpoint pair, and events carry (src, dst) with the dense
@@ -29,17 +29,13 @@ import (
 // the restored engine's segment lifecycle accounting (Live) matches the
 // uninterrupted run's. Trace entries are the one exception — their bodies
 // are record-only, never resolved again, so they keep handle images
-// verbatim (the same caveat ModeMulti's concurrent allocation already
-// places on seg-carrying traced runs).
+// verbatim.
 
 // Snapshot serializes the engine's complete state into a sealed frame.
 // Legal on a quiescent engine, before Run, or between RunSteps calls —
-// never while a parallel window is in flight, and not in shard mode (the
-// shard coordinator drives per-shard frames itself).
+// not in shard mode (the shard coordinator drives per-shard frames
+// itself).
 func (s *Sim) Snapshot() ([]byte, error) {
-	if s.inWindow {
-		return nil, fmt.Errorf("async: Snapshot while a parallel window is in flight")
-	}
 	if s.shardMode {
 		return nil, fmt.Errorf("async: Snapshot on a shard engine (the coordinator snapshots at FLUSH barriers)")
 	}
@@ -54,7 +50,7 @@ func (s *Sim) Snapshot() ([]byte, error) {
 // built over the same graph, adversary, and handler constructor as the
 // snapshotted one (validated against the frame header). Any existing run
 // state is discarded first. After a successful restore the next Run (any
-// mode) or RunSteps continues the interrupted run; on error the engine is
+// or RunSteps continues the interrupted run; on error the engine is
 // left reset and reusable, with no arena segments leaked.
 func (s *Sim) Restore(data []byte) error {
 	payload, err := wire.OpenSnapshot(data)
@@ -74,8 +70,7 @@ func (s *Sim) Restore(data []byte) error {
 // first call (unless the engine was restored from a snapshot). It reports
 // whether the engine is quiescent — callers interleave Snapshot between
 // calls to checkpoint at any event index, then FinishResult at the end.
-// Stepped runs are ModeSingle by definition; a restored engine may instead
-// be continued with Run in any mode.
+// A restored engine may instead be continued with Run.
 func (s *Sim) RunSteps(n uint64) bool {
 	if s.g.Sub() {
 		panic("async: RunSteps on a Subrange view; shard engines are driven by the internal/shard protocol")
@@ -94,15 +89,7 @@ func (s *Sim) RunSteps(n uint64) bool {
 	var ev event
 	for ; n > 0 && !s.events.empty(); n-- {
 		s.events.pop(&ev)
-		if ev.t < s.now {
-			panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
-		}
-		s.now = ev.t
-		s.steps++
-		if s.steps > s.maxEvents {
-			panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
-		}
-		s.direct.processEvent(&ev)
+		s.step(&ev)
 	}
 	return s.events.empty()
 }
@@ -166,7 +153,7 @@ func (s *Sim) encodeEngine(e *wire.Enc) error {
 	}
 
 	// Nodes: output slot plus handler state, keyed by global id.
-	outB, outA := s.loadedOutBodies(), s.loadedOutAnys()
+	outB, outA := s.outBodies, s.outAnys
 	e.U32(uint32(s.g.NLocal()))
 	for i := 0; i < s.g.NLocal(); i++ {
 		id := s.nodeBase + graph.NodeID(i)
@@ -243,13 +230,8 @@ func (s *Sim) encodeEngine(e *wire.Enc) error {
 	e.EndBlob(mark)
 	e.U32(uint32(nLinks))
 
-	// Events, from whichever store holds them (serial queue, or the owner
-	// shards if the engine last ran a parallel mode — mutually exclusive).
-	nEvents := s.events.size
-	for k := range s.shards {
-		nEvents += s.shards[k].size
-	}
-	e.U32(uint32(nEvents))
+	// Events.
+	e.U32(uint32(s.events.size))
 	encodeEv := func(ev *event) {
 		e.U8(ev.kind)
 		e.U8(ev.attempt)
@@ -262,9 +244,6 @@ func (s *Sim) encodeEngine(e *wire.Enc) error {
 		e.Body(ev.msg.Body)
 	}
 	s.events.forEach(encodeEv)
-	for k := range s.shards {
-		s.shards[k].forEach(encodeEv)
-	}
 
 	// Trace: record-only bodies, handle images verbatim.
 	e.U32(uint32(len(s.trace)))
@@ -341,7 +320,7 @@ func (s *Sim) decodeEngine(d *wire.Dec) error {
 				break
 			}
 			s.hasOut[li] = true
-			s.outBodies()[li] = b
+			s.bodySlab()[li] = b
 		}
 		sc, ok := s.handlers[li].(wire.StateCodec)
 		if !ok {

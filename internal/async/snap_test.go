@@ -11,7 +11,7 @@ import (
 
 // snapRelax is the round-trip test workload: multi-source BFS by monotone
 // relaxation. It implements wire.StateCodec, so a snapshot taken mid-run
-// can be resumed under every execution mode. root is config — the handler
+// can be resumed. root is config — the handler
 // constructor rebuilds it — so only the mutable pair (have, dist)
 // serializes.
 type snapRelax struct {
@@ -76,8 +76,8 @@ func snapAdversaries(t *testing.T) []Adversary {
 }
 
 // TestSnapshotRoundTripMatrix is the tentpole invariant: snapshot after
-// every k-th event, restore into a fresh engine, run to the end in each
-// execution mode — the continuation must be byte-identical (Result,
+// every k-th event, restore into a fresh engine, run to the end — the
+// continuation must be byte-identical (Result,
 // outputs, PerProto, full delivery trace) to the uninterrupted run, for
 // every adversary × fault-schedule cell. Snapshots are observation, not
 // perturbation.
@@ -86,7 +86,6 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 	for _, adv := range snapAdversaries(t) {
 		t.Run(adv.Name(), func(t *testing.T) {
 			ref := New(g, adv, mkRelax).KeepTrace().Run()
-			modes := []ExecutionMode{ModeSingle, ModeMulti}
 			for k := uint64(0); ; k++ {
 				a := New(g, adv, mkRelax).KeepTrace()
 				done := a.RunSteps(k)
@@ -94,18 +93,15 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("snapshot at event %d: %v", k, err)
 				}
-				for _, mode := range modes {
-					b := New(g, adv, mkRelax).KeepTrace()
-					if err := b.Restore(snap); err != nil {
-						t.Fatalf("restore at event %d: %v", k, err)
-					}
-					res := b.WithMode(mode).Run()
-					if !reflect.DeepEqual(res, ref) {
-						t.Fatalf("snapshot at event %d, resumed in mode %d: result diverged from uninterrupted run", k, mode)
-					}
-					if live := b.Arena().Live(); live != 0 {
-						t.Fatalf("snapshot at event %d, mode %d: %d arena segments leaked", k, mode, live)
-					}
+				b := New(g, adv, mkRelax).KeepTrace()
+				if err := b.Restore(snap); err != nil {
+					t.Fatalf("restore at event %d: %v", k, err)
+				}
+				if res := b.Run(); !reflect.DeepEqual(res, ref) {
+					t.Fatalf("snapshot at event %d: result diverged from uninterrupted run", k)
+				}
+				if live := b.Arena().Live(); live != 0 {
+					t.Fatalf("snapshot at event %d: %d arena segments leaked", k, live)
 				}
 				if done {
 					break
@@ -358,7 +354,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			// ceilings); that guard firing is acceptable, corruption is
 			// not. Leak accounting only applies to runs that finish.
 			defer func() { ok = recover() == nil }()
-			s.WithMode(ModeSingle).Run()
+			s.Run()
 			return true
 		}()
 		if clean {

@@ -1,5 +1,5 @@
 // Package bench implements the experiment harness: one function per
-// experiment in DESIGN.md's index (E1–E18; E15 is retired), each
+// experiment in DESIGN.md's index (E1–E18; E13–E15 are retired), each
 // regenerating its table of measured time/message complexities against
 // the paper's predicted shape.
 // Root bench_test.go and cmd/syncbench both call into this package.
@@ -24,10 +24,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/async"
-	"repro/internal/core"
-	"repro/internal/execpolicy"
 	"repro/internal/graph"
-	"repro/internal/syncrun"
 	"repro/internal/wire"
 )
 
@@ -62,8 +59,6 @@ var experiments = []experiment{
 	{"E10", "sparse cover quality (Thm 4.21)", e10CoverQuality},
 	{"E11", "link multiplexing & stage priorities (Cor 2.3 / Lem 2.5)", e11StagePipelining},
 	{"E12", "gather-in-covers cost (Thm 3.1)", e12GatherCost},
-	{"E13", "lockstep engine throughput by execution mode", e13EngineThroughput},
-	{"E14", "async engine throughput by execution mode (bounded-lag windows)", e14AsyncEngineThroughput},
 	{"E16", "retained footprint vs n (graph plane + engine state)", e16Footprint},
 	{"E17", "fault-plane overhead vs fault rate (crash × drop × budget)", e17FaultOverhead},
 	{"E18", "state-plane snapshot overhead (frame bytes + time vs interval)", e18SnapshotOverheads},
@@ -115,31 +110,13 @@ type Options struct {
 	// reproduce the published tables. Experiments that deliberately use a
 	// degenerate adversary (Fixed delays) are unaffected.
 	Seed uint64
-	// Mode selects the lockstep execution mode for experiments that run a
-	// synchronous baseline (cmd/syncbench -mode). The default is ModeAuto;
-	// results are byte-identical across modes, so this is a wall-clock
-	// knob. E13 compares the modes explicitly and ignores it.
-	Mode syncrun.ExecutionMode
-	// AsyncMode selects the asynchronous engine's execution mode for every
-	// experiment that runs a simulation (cmd/syncbench -mode sets both
-	// engines). Also byte-identical across modes; E14 compares the modes
-	// explicitly and ignores it.
-	AsyncMode async.ExecutionMode
 	// Graph is an optional extra topology, as a graph.FromSpec string
-	// (cmd/syncbench -graph, e.g. "grid3d:100x100x100"). The engine-facing
-	// experiments E13, E14, and E16 append it as an extra row after their
-	// built-in cases — this is how the committed BENCH_6.json gets its
-	// million-node rows without every default run paying for them. Other
-	// experiments ignore it. Invalid specs fail Run before anything runs.
+	// (cmd/syncbench -graph, e.g. "grid3d:100x100x100"). E16 and E18
+	// append it as an extra row after their built-in cases — this is how
+	// the committed BENCH_6.json gets its million-node rows without every
+	// default run paying for them. Other experiments ignore it. Invalid
+	// specs fail Run before anything runs.
 	Graph string
-	// Shards, when >= 1, makes E14 add multi-process-protocol rows: each
-	// case also runs through the sharded coordinator (in-process workers,
-	// K = Shards) with its det column holding the byte-identity check
-	// against the serial engine. Shards = 1 exercises the full shard
-	// protocol degenerately and must change nothing else in the run
-	// (cmd/syncbench -shards). Out-of-range values fail Run before
-	// anything runs, like an invalid Graph spec.
-	Shards int
 	// Faults is an optional fault-schedule spec (async.ParseFaultSpec,
 	// e.g. "crash:p=0.01,drop:p=0.05,budget=3,seed=7"; cmd/syncbench
 	// -faults). When set, every experiment's delay adversary is wrapped in
@@ -180,15 +157,11 @@ type Ctx struct {
 	w       io.Writer
 	workers int
 	seed    uint64
-	mode    syncrun.ExecutionMode
-	amode   async.ExecutionMode
 	// gspec/custom carry the Options.Graph extra topology: the spec string
 	// (used as the row label and re-built by E16's footprint probe) and the
-	// graph itself, built once up front so E13 and E14 share it.
+	// graph itself, built once up front.
 	gspec  string
 	custom *graph.Graph
-	// shards carries Options.Shards: E14's sharded-coordinator row count.
-	shards int
 	// faults/fspec carry Options.Faults: the parsed schedule wrapped
 	// around every adversary c.adv hands out, and the raw spec string E17
 	// uses as its extra-row label.
@@ -216,18 +189,6 @@ func (c *Ctx) seedOr(def uint64) uint64 {
 // schedule when one was given.
 func (c *Ctx) adv(def uint64) async.Adversary {
 	return async.WithFaults(async.SeededRandom{Seed: c.seedOr(def)}, c.faults)
-}
-
-// runSync executes a lockstep baseline in the selected execution mode
-// (results are mode-independent; only wall-clock changes).
-func (c *Ctx) runSync(g *graph.Graph, mk func(graph.NodeID) syncrun.Handler) syncrun.Result {
-	return syncrun.New(g, mk).WithMode(c.mode).Run()
-}
-
-// coreCfg assembles a synchronizer config honoring the run-wide async
-// execution mode.
-func (c *Ctx) coreCfg(g *graph.Graph, bound int, adv async.Adversary) core.Config {
-	return core.Config{Graph: g, Bound: bound, Adversary: adv, Mode: c.amode}
 }
 
 // table accumulates aligned rows.
@@ -329,9 +290,6 @@ func Run(w io.Writer, ids []string, opts Options) error {
 	if opts.JSON {
 		tw = io.Discard
 	}
-	if opts.Shards < 0 || opts.Shards > execpolicy.MaxShards {
-		return fmt.Errorf("shards = %d out of range [0, %d]", opts.Shards, execpolicy.MaxShards)
-	}
 	fs, err := async.ParseFaultSpec(opts.Faults)
 	if err != nil {
 		return err
@@ -345,7 +303,7 @@ func Run(w io.Writer, ids []string, opts Options) error {
 			return fmt.Errorf("resume %s: %v", opts.Resume, err)
 		}
 	}
-	c := &Ctx{w: tw, workers: opts.Workers, seed: opts.Seed, mode: opts.Mode, amode: opts.AsyncMode, gspec: opts.Graph, shards: opts.Shards, faults: fs, fspec: opts.Faults, snapEvery: opts.SnapshotEvery, resume: opts.Resume}
+	c := &Ctx{w: tw, workers: opts.Workers, seed: opts.Seed, gspec: opts.Graph, faults: fs, fspec: opts.Faults, snapEvery: opts.SnapshotEvery, resume: opts.Resume}
 	if opts.Graph != "" {
 		g, err := graph.FromSpec(opts.Graph)
 		if err != nil {
@@ -400,7 +358,5 @@ func E9AdversaryRobustness(w io.Writer)    { ByName(w, "E9") }
 func E10CoverQuality(w io.Writer)          { ByName(w, "E10") }
 func E11StagePipelining(w io.Writer)       { ByName(w, "E11") }
 func E12GatherCost(w io.Writer)            { ByName(w, "E12") }
-func E13EngineThroughput(w io.Writer)      { ByName(w, "E13") }
-func E14AsyncEngineThroughput(w io.Writer) { ByName(w, "E14") }
 func E16Footprint(w io.Writer)             { ByName(w, "E16") }
 func E17FaultOverhead(w io.Writer)         { ByName(w, "E17") }

@@ -28,11 +28,12 @@ func TestByName(t *testing.T) {
 
 func TestRegistryOrdered(t *testing.T) {
 	ids := IDs()
-	// E15 (the removed speculative executor's table) is retired, not
-	// reused, so published tables keep their ids.
+	// E13 and E14 (the removed lockstep worker pool's and bounded-lag
+	// windows' tables) and E15 (the removed speculative executor's) are
+	// retired, not reused, so published tables keep their ids.
 	var want []string
 	for i := 1; i <= 18; i++ {
-		if i != 15 {
+		if i < 13 || i > 15 {
 			want = append(want, fmt.Sprintf("E%d", i))
 		}
 	}
@@ -55,8 +56,7 @@ func TestRunUnknownID(t *testing.T) {
 
 // deterministicSubset lists experiments whose outputs carry no wall-clock
 // measurements, so their tables must be byte-identical across worker
-// counts (E13's single/multi millisecond columns vary run to run and are
-// excluded).
+// counts.
 var deterministicSubset = []string{"E7", "E9", "E10", "E11", "E12"}
 
 // TestParallelMatchesSerial is the harness determinism contract: a

@@ -38,7 +38,7 @@ func e1SynchronizerOverheads(c *Ctx) {
 		tc := graphs[i]
 		g := tc.mk()
 		mk := bfsMk([]graph.NodeID{0})
-		sres := c.runSync(g, mk)
+		sres := syncrun.New(g, mk).Run()
 		bound := sres.Rounds + 2
 		adv := c.adv(3)
 		runs := []struct {
@@ -48,7 +48,7 @@ func e1SynchronizerOverheads(c *Ctx) {
 			{"alpha", core.SynchronizeAlpha(g, bound, adv, mk)},
 			{"beta", core.SynchronizeBeta(g, bound, adv, mk)},
 			{"gamma", core.SynchronizeGamma(g, bound, adv, mk)},
-			{"main", core.Synchronize(c.coreCfg(g, bound, adv), mk)},
+			{"main", core.Synchronize(core.Config{Graph: g, Bound: bound, Adversary: adv}, mk)},
 		}
 		rows := make([]row, 0, len(runs))
 		for _, r := range runs {
@@ -81,7 +81,7 @@ func e2BFSTimeVsD(c *Ctx) {
 	t.emit(c.jobs(len(cases), func(i int) []row {
 		tc := cases[i]
 		g := tc.mk()
-		res := abfs.FullMode(g, []graph.NodeID{0}, c.adv(5), c.amode)
+		res := abfs.Full(g, []graph.NodeID{0}, c.adv(5))
 		d := g.Diameter()
 		perD := res.Time / float64(d)
 		return []row{{
@@ -101,7 +101,7 @@ func e3BFSMessagesVsM(c *Ctx) {
 	ms := []int{150, 300, 600, 1200}
 	t.emit(c.jobs(len(ms), func(i int) []row {
 		g := graph.RandomConnected(n, ms[i], 11)
-		res := abfs.FullMode(g, []graph.NodeID{0}, c.adv(5), c.amode)
+		res := abfs.Full(g, []graph.NodeID{0}, c.adv(5))
 		perM := float64(res.Msgs) / float64(g.M())
 		return []row{{
 			cols: []any{n, g.M(), g.Diameter(), res.Time, res.Msgs, perM},
@@ -127,7 +127,7 @@ func e4MultiSourceD1(c *Ctx) {
 		g := graph.Grid(10, 10)
 		d := g.Diameter()
 		d1 := g.BallRadius(sources)
-		res := abfs.FullMode(g, sources, c.adv(9), c.amode)
+		res := abfs.Full(g, sources, c.adv(9))
 		perD1 := res.Time / float64(d1)
 		return []row{{
 			cols: []any{len(sources), d, d1, res.Iterations, res.Time, perD1, res.Msgs},
@@ -158,8 +158,8 @@ func e5LeaderElection(c *Ctx) {
 		mk := func(graph.NodeID) syncrun.Handler {
 			return &apps.Leader{Covers: layered, SpansAll: spans}
 		}
-		sres := c.runSync(g, mk)
-		res := core.Synchronize(c.coreCfg(g, sres.Rounds+2, c.adv(17)), mk)
+		sres := syncrun.New(g, mk).Run()
+		res := core.Synchronize(core.Config{Graph: g, Bound: sres.Rounds + 2, Adversary: c.adv(17)}, mk)
 		perD := res.Time / float64(d)
 		perM := float64(res.Msgs) / float64(g.M())
 		return []row{{
@@ -192,8 +192,8 @@ func e6MST(c *Ctx) {
 		mk := func(graph.NodeID) syncrun.Handler {
 			return &apps.MST{Barrier: tree, Weights: weights}
 		}
-		sres := c.runSync(g, mk)
-		res := core.Synchronize(c.coreCfg(g, sres.Rounds+2, c.adv(19)), mk)
+		sres := syncrun.New(g, mk).Run()
+		res := core.Synchronize(core.Config{Graph: g, Bound: sres.Rounds + 2, Adversary: c.adv(19)}, mk)
 		perM := float64(res.Msgs) / float64(g.M())
 		correct := mstCorrect(g, res.Outputs)
 		return []row{{

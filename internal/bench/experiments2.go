@@ -72,7 +72,7 @@ func e7RegistrationCongestion(c *Ctx) {
 				return mux
 			}
 			if sim == nil {
-				sim = async.New(g, async.Fixed{D: 1}, mk).WithMode(c.amode)
+				sim = async.New(g, async.Fixed{D: 1}, mk)
 			} else {
 				sim.Reset(async.Fixed{D: 1}, mk)
 			}
@@ -99,7 +99,7 @@ func e8AlphaBlowup(c *Ctx) {
 		rounds := n
 		mk := func(graph.NodeID) syncrun.Handler { return &pingAlgo{rounds: rounds} }
 		alpha := core.SynchronizeAlpha(g, rounds+1, async.Fixed{D: 1}, mk)
-		main := core.Synchronize(c.coreCfg(g, rounds+1, async.Fixed{D: 1}), mk)
+		main := core.Synchronize(core.Config{Graph: g, Bound: rounds + 1, Adversary: async.Fixed{D: 1}}, mk)
 		ratio := float64(alpha.Msgs) / float64(main.Msgs)
 		return []row{{
 			cols: []any{n, g.M(), rounds, alpha.Msgs, main.Msgs, ratio, alpha.Time, main.Time},
@@ -144,11 +144,11 @@ func e9AdversaryRobustness(c *Ctx) {
 	// jobs: all deterministic, read-only once built, one adversary per job.
 	g := graph.Grid(6, 6)
 	mk := bfsMk([]graph.NodeID{0})
-	sres := c.runSync(g, mk)
+	sres := syncrun.New(g, mk).Run()
 	advs := async.StandardAdversaries(g.N(), c.seedOr(77))
 	t.emit(c.jobs(len(advs), func(i int) []row {
 		adv := advs[i]
-		res := core.Synchronize(c.coreCfg(g, sres.Rounds+2, adv), mk)
+		res := core.Synchronize(core.Config{Graph: g, Bound: sres.Rounds + 2, Adversary: adv}, mk)
 		match := len(res.Outputs) == len(sres.Outputs)
 		for v, want := range sres.Outputs {
 			if res.Outputs[v] != want {
@@ -293,7 +293,7 @@ func e11StagePipelining(c *Ctx) {
 		d := g.Diameter()
 		sim := async.New(g, async.Fixed{D: 1}, func(graph.NodeID) async.Handler {
 			return &floodK{k: k, staged: staged}
-		}).WithMode(c.amode)
+		})
 		res := sim.Run()
 		norm := res.Time / float64(d+k)
 		return []row{{
@@ -343,7 +343,7 @@ func e12GatherCost(c *Ctx) {
 			mux.Register(1, gb.mod)
 			mux.Register(2, gb)
 			return mux
-		}).WithMode(c.amode)
+		})
 		res := sim.Run()
 		perBudget := float64(res.Msgs) / float64(budget)
 		return []row{{

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/graph"
+	"repro/internal/syncrun"
 )
 
 // e17FaultOverhead measures the deterministic fault plane end to end: the
@@ -57,7 +58,7 @@ func e17FaultOverhead(c *Ctx) {
 		for _, tc := range cases {
 			g := tc.mk()
 			mk := bfsMk([]graph.NodeID{0})
-			sres := c.runSync(g, mk)
+			sres := syncrun.New(g, mk).Run()
 			bound := sres.Rounds + 2
 			var base async.Result
 			for i, spec := range specs {
@@ -69,7 +70,7 @@ func e17FaultOverhead(c *Ctx) {
 					fs.Seed = seed
 				}
 				adv := async.WithFaults(async.SeededRandom{Seed: seed}, fs)
-				res, rep := core.SynchronizeWatched(c.coreCfg(g, bound, adv), mk)
+				res, rep := core.SynchronizeWatched(core.Config{Graph: g, Bound: bound, Adversary: adv}, mk)
 				if i == 0 {
 					base = res
 				}

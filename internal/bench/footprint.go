@@ -114,7 +114,7 @@ func AsyncRetainedBytes(g *graph.Graph) int64 {
 	return RetainedBytes(func() any {
 		sim := async.New(g, async.Fixed{D: 1}, func(graph.NodeID) async.Handler {
 			return &leanFlood{}
-		}).WithMode(async.ModeSingle)
+		})
 		sim.Run()
 		return sim
 	})
@@ -127,7 +127,7 @@ func SyncRetainedBytes(g *graph.Graph) int64 {
 	return RetainedBytes(func() any {
 		r := syncrun.New(g, func(graph.NodeID) syncrun.Handler {
 			return &leanWave{}
-		}).WithMode(syncrun.ModeSingle)
+		})
 		r.Run()
 		return r
 	})

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"os"
 	"testing"
 
@@ -15,86 +13,6 @@ func TestMain(m *testing.M) {
 	// workers and never returns in them.
 	shard.MaybeWorker()
 	os.Exit(m.Run())
-}
-
-// TestShardOptionsInvariance is the -shards=1 contract: turning the shard
-// option on must change nothing outside E14's extra rows, so the
-// deterministic experiments' tables and JSON are byte-identical with and
-// without it.
-func TestShardOptionsInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweeps")
-	}
-	var plain, sharded bytes.Buffer
-	if err := Run(&plain, deterministicSubset, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Run(&sharded, deterministicSubset, Options{Shards: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain.Bytes(), sharded.Bytes()) {
-		t.Fatalf("-shards=1 changed deterministic tables:\n--- plain ---\n%s\n--- shards=1 ---\n%s",
-			plain.String(), sharded.String())
-	}
-
-	var plainJSON, shardedJSON bytes.Buffer
-	if err := Run(&plainJSON, deterministicSubset, Options{JSON: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Run(&shardedJSON, deterministicSubset, Options{JSON: true, Shards: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plainJSON.Bytes(), shardedJSON.Bytes()) {
-		t.Fatal("-shards=1 changed deterministic JSON records")
-	}
-
-	if err := Run(new(bytes.Buffer), nil, Options{Shards: -1}); err == nil {
-		t.Fatal("negative shards must fail Run")
-	}
-	if err := Run(new(bytes.Buffer), nil, Options{Shards: 99}); err == nil {
-		t.Fatal("out-of-range shards must fail Run")
-	}
-}
-
-// TestE14ShardRows runs E14 with the shard option and checks the extra
-// rows: one per case, labeled with the shard count, det (the DeepEqual of
-// the merged sharded Result against the serial engine) always true. K=1
-// is the degenerate full-protocol run whose byte-identity the -shards=1
-// flag promises.
-func TestE14ShardRows(t *testing.T) {
-	if testing.Short() {
-		t.Skip("engine sweeps with sharded reruns")
-	}
-	for _, k := range []int{1, 2} {
-		var buf bytes.Buffer
-		if err := Run(&buf, []string{"E14"}, Options{JSON: true, Shards: k}); err != nil {
-			t.Fatal(err)
-		}
-		var out Output
-		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Experiments) != 1 {
-			t.Fatalf("got %d experiments", len(out.Experiments))
-		}
-		shardRows := 0
-		for _, r := range out.Experiments[0].Rows {
-			ks, ok := r["shards"]
-			if !ok {
-				continue
-			}
-			shardRows++
-			if got := ks.(float64); int(got) != k {
-				t.Errorf("shard row has shards=%v, want %d", ks, k)
-			}
-			if det, _ := r["deterministic"].(bool); !det {
-				t.Errorf("shard row %v not byte-identical to the serial engine", r["graph"])
-			}
-		}
-		if shardRows == 0 {
-			t.Fatalf("E14 with Shards=%d produced no shard rows", k)
-		}
-	}
 }
 
 // TestFootprintPinsSharded is TestFootprintPins' multi-process companion:

@@ -26,7 +26,7 @@ func TestSynchronizedBFSAllocsPerMessage(t *testing.T) {
 	mk := pinBFS.prep(g)
 	bound := syncrun.New(g, mk).Run().Rounds + 2
 	cfg := Config{Graph: g, Bound: bound, Adversary: async.SeededRandom{Seed: 1},
-		Layered: BuildLayeredFor(g, bound), Mode: async.ModeSingle}
+		Layered: BuildLayeredFor(g, bound)}
 	var msgs uint64
 	allocs := testing.AllocsPerRun(3, func() { msgs = Synchronize(cfg, mk).Msgs })
 	perMsg := allocs / float64(msgs)
@@ -56,7 +56,7 @@ func TestAlphaBFSAllocsPerMessage(t *testing.T) {
 	var msgs uint64
 	allocs := testing.AllocsPerRun(3, func() {
 		s := async.New(g, async.Fixed{D: 1}, func(id graph.NodeID) async.Handler { return NewAlpha(mk(id), bound) })
-		msgs = s.WithMode(async.ModeSingle).Run().Msgs
+		msgs = s.Run().Msgs
 	})
 	perMsg := allocs / float64(msgs)
 	t.Logf("%.0f allocs over %d messages: %.3f per message", allocs, msgs, perMsg)

@@ -70,13 +70,9 @@ func SynchronizeUnknownBoundWatched(g *graph.Graph, adv async.Adversary,
 // A failed attempt still reports the costs it accrued up to the abort.
 // A quiesced-but-stalled attempt returns ok=true with the stall visible
 // in the report: the bound was not the problem, so doubling must stop.
-// Attempts run in ModeSingle: an abort unwinds mid-window in the parallel
-// mode, whose partially-merged counters would make the billed totals
-// depend on worker scheduling — serial event order is the definition of
-// what an aborted attempt cost.
 func tryBound(g *graph.Graph, bound int, adv async.Adversary,
 	mk func(id graph.NodeID) syncrun.Handler) (res async.Result, rep StallReport, ok bool) {
-	sim := newSynchronizedSim(Config{Graph: g, Bound: bound, Adversary: adv, Mode: async.ModeSingle}, mk)
+	sim := newSynchronizedSim(Config{Graph: g, Bound: bound, Adversary: adv}, mk)
 	defer func() {
 		r := recover()
 		if r == nil {

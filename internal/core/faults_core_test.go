@@ -10,23 +10,25 @@ import (
 	"repro/internal/syncrun"
 )
 
-// TestSynchronizeFaultMode pins the synchronizer stack's cross-mode
-// determinism under faults: the full Result of a synchronized run with a
-// drop schedule must be identical between the serial engine and the
-// bounded-lag parallel windows.
+// TestSynchronizeFaultMode runs the synchronizer stack under a drop
+// schedule whose retransmit budget absorbs every loss: the run must
+// retransmit, abandon nothing, balance its fault ledger and still
+// reproduce the lockstep outputs.
 func TestSynchronizeFaultMode(t *testing.T) {
 	g := graph.Grid(5, 6)
 	bound := g.Diameter() + 2
 	fs := &async.FaultSchedule{Seed: 13, DropP: 0.15, Budget: 3}
 	mk := func(graph.NodeID) syncrun.Handler { return &bfsAlgo{src: 0} }
 	adv := async.WithFaults(async.SeededRandom{Seed: 6}, fs)
-	want := Synchronize(Config{Graph: g, Bound: bound, Adversary: adv, Mode: async.ModeSingle}, mk)
-	got := Synchronize(Config{Graph: g, Bound: bound, Adversary: adv, Mode: async.ModeMulti, Workers: 4}, mk)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("synchronized run under faults differs between Single and Multi")
+	res := Synchronize(Config{Graph: g, Bound: bound, Adversary: adv}, mk)
+	if res.Dropped == 0 || res.Retrans == 0 {
+		t.Fatalf("schedule exercised nothing: dropped=%d retrans=%d", res.Dropped, res.Retrans)
 	}
-	if want.Dropped == 0 || want.Retrans == 0 {
-		t.Fatalf("schedule exercised nothing: dropped=%d retrans=%d", want.Dropped, want.Retrans)
+	if res.Undeliverable != 0 || res.Dropped != res.Retrans {
+		t.Fatalf("ledger: dropped=%d retrans=%d undeliverable=%d", res.Dropped, res.Retrans, res.Undeliverable)
+	}
+	if want := syncrun.New(g, mk).Run().Outputs; !reflect.DeepEqual(res.Outputs, want) {
+		t.Fatal("synchronized outputs under retransmitted drops differ from lockstep")
 	}
 }
 

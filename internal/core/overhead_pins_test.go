@@ -116,3 +116,61 @@ func TestSynchronizerOverheadPins(t *testing.T) {
 		})
 	}
 }
+
+// baselinePin is the exact simulated cost of one α, β or γ baseline run.
+type baselinePin struct {
+	sync string // "alpha", "beta" or "gamma"
+	spec string
+	adv  async.Adversary
+	time string // strconv 'g' -1 form of Result.Time
+	msgs uint64
+	acks uint64
+}
+
+var baselinePins = []baselinePin{
+	{sync: "alpha", spec: "grid:6x6", adv: async.SeededRandom{Seed: 1},
+		time: "21.34675693511963", msgs: 1800, acks: 1800},
+	{sync: "alpha", spec: "grid:6x6", adv: async.Fixed{D: 1},
+		time: "30", msgs: 1800, acks: 1800},
+	{sync: "beta", spec: "grid:6x6", adv: async.SeededRandom{Seed: 1},
+		time: "101.64634037017822", msgs: 1065, acks: 1065},
+	{sync: "beta", spec: "grid:6x6", adv: async.Fixed{D: 1},
+		time: "202", msgs: 1065, acks: 1065},
+	{sync: "gamma", spec: "grid:6x6", adv: async.SeededRandom{Seed: 1},
+		time: "180.35582733154297", msgs: 1991, acks: 1991},
+	{sync: "gamma", spec: "grid:6x6", adv: async.Fixed{D: 1},
+		time: "347", msgs: 1991, acks: 1991},
+	// The alpha-bfs-grid3d benchmark shape: 9504 links.
+	{sync: "alpha", spec: "grid3d:12x12x12", adv: async.Fixed{D: 1},
+		time: "99", msgs: 361152, acks: 361152},
+}
+
+// TestBaselineOverheadPins pins Result.Time, Msgs and Acks of BFS from
+// node 0 under the α, β and γ baselines, with the pulse bound set to the
+// lockstep round count plus two. Outputs must also equal lockstep.
+func TestBaselineOverheadPins(t *testing.T) {
+	runs := map[string]func(*graph.Graph, int, async.Adversary, func(graph.NodeID) syncrun.Handler) async.Result{
+		"alpha": SynchronizeAlpha,
+		"beta":  SynchronizeBeta,
+		"gamma": SynchronizeGamma,
+	}
+	for _, pin := range baselinePins {
+		t.Run(fmt.Sprintf("%s/%s/%s", pin.sync, pin.spec, pin.adv.Name()), func(t *testing.T) {
+			g, err := graph.FromSpec(pin.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mk := pinBFS.prep(g)
+			ref := syncrun.New(g, mk).Run()
+			res := runs[pin.sync](g, ref.Rounds+2, pin.adv, mk)
+			if !reflect.DeepEqual(res.Outputs, ref.Outputs) {
+				t.Fatal("synchronized outputs differ from lockstep")
+			}
+			got := strconv.FormatFloat(res.Time, 'g', -1, 64)
+			if got != pin.time || res.Msgs != pin.msgs || res.Acks != pin.acks {
+				t.Fatalf("overheads moved:\n got time=%s msgs=%d acks=%d\nwant time=%s msgs=%d acks=%d",
+					got, res.Msgs, res.Acks, pin.time, pin.msgs, pin.acks)
+			}
+		})
+	}
+}

@@ -25,13 +25,6 @@ type Config struct {
 	// Layered optionally supplies prebuilt covers (they must reach level
 	// ℓ(B)+5); nil builds them from the graph.
 	Layered *cover.Layered
-	// Mode selects the asynchronous engine's execution mode (default
-	// ModeAuto). Results are byte-identical across modes; ModeMulti only
-	// changes wall-clock.
-	Mode async.ExecutionMode
-	// Workers caps the engine's parallel worker pool (0 = engine default;
-	// negative panics).
-	Workers int
 }
 
 // coverCache memoizes BuildLayeredFor results. Covers are deterministic in
@@ -130,9 +123,6 @@ func newSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *a
 	if cfg.Bound < 1 {
 		panic(fmt.Sprintf("core: Config.Bound must be >= 1, got %d", cfg.Bound))
 	}
-	if cfg.Workers < 0 {
-		panic(fmt.Sprintf("core: Config.Workers must be >= 0, got %d", cfg.Workers))
-	}
 	adv := cfg.Adversary
 	if adv == nil {
 		adv = async.SeededRandom{Seed: 1}
@@ -146,13 +136,9 @@ func newSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *a
 		panic(fmt.Sprintf("core: layered covers reach level %d, need %d",
 			layered.MaxLevel(), sched.MaxCoverLevel))
 	}
-	sim := async.New(cfg.Graph, adv, func(id graph.NodeID) async.Handler {
+	return async.New(cfg.Graph, adv, func(id graph.NodeID) async.Handler {
 		return NewNodeHandler(sched, layered, mk(id))
-	}).WithMode(cfg.Mode)
-	if cfg.Workers > 0 {
-		sim.WithWorkers(cfg.Workers)
-	}
-	return sim
+	})
 }
 
 // NewNodeHandler wires one node's synchronizer stack: the core engine plus

@@ -19,9 +19,8 @@ func (h *bfsAlgo) LoadState(d *wire.Dec) { h.dist = d.Int() }
 
 // TestSynchronizedSnapshotMatrix snapshots a mid-flight synchronized
 // run — the deepest stack the state plane serializes (node core, per-level
-// register and gather modules, all under one Mux) — and resumes it in
-// every engine mode. The continuation must be byte-identical to the
-// uninterrupted run.
+// register and gather modules, all under one Mux) — and resumes it. The
+// continuation must be byte-identical to the uninterrupted run.
 func TestSynchronizedSnapshotMatrix(t *testing.T) {
 	g := graph.RandomConnected(24, 55, 9)
 	mk := func(graph.NodeID) syncrun.Handler { return &bfsAlgo{src: 0} }
@@ -35,14 +34,12 @@ func TestSynchronizedSnapshotMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("snapshot at event %d: %v", k, err)
 		}
-		for _, mode := range []async.ExecutionMode{async.ModeSingle, async.ModeMulti} {
-			b := newSynchronizedSim(cfg, mk)
-			if err := b.Restore(snap); err != nil {
-				t.Fatalf("restore at event %d: %v", k, err)
-			}
-			if got := b.WithMode(mode).Run(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("synchronized run resumed at event %d in mode %d diverged", k, mode)
-			}
+		b := newSynchronizedSim(cfg, mk)
+		if err := b.Restore(snap); err != nil {
+			t.Fatalf("restore at event %d: %v", k, err)
+		}
+		if got := b.Run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("synchronized run resumed at event %d diverged", k)
 		}
 	}
 }

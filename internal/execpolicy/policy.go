@@ -1,89 +1,27 @@
-// Package execpolicy centralizes the execution-policy decisions the two
-// engines share: worker-count defaults and validation, and the Auto-mode
-// heuristics that pick between serial and parallel execution. Keeping them
-// in one place stops the async engine and the lockstep runner from
-// drifting apart — both engines' WithWorkers validation, their GOMAXPROCS
-// clamps, and their "is parallelism worth the coordination?" thresholds
-// are the same code.
-//
-// The policy layer is deliberately free of engine types: it answers with
-// plain choices, and each engine maps them onto its own mode enum.
+// Package execpolicy holds the multi-process shard policy — how many
+// shard processes a run gets when the caller does not choose — and the
+// retained Auto shims the end-to-end benchmark still calls. Both
+// engines run one in-process executor, the serial loop; multi-process
+// sharding is the one parallel path.
 package execpolicy
 
-import (
-	"fmt"
-	"runtime"
-)
+import "runtime"
 
-// MaxWorkers caps every worker pool: beyond ~16 workers the merge and
-// barrier costs outgrow the marginal core, and the deterministic k-way
-// merges scan one cursor per worker.
-const MaxWorkers = 16
+// DefaultWorkers is a retained shim: perfbench passes it to AsyncAuto,
+// which ignores it. It reports GOMAXPROCS.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// AutoMinLookahead is the smallest adversary lookahead for which Auto mode
-// engages the bounded-lag executor: one tick of the async engine's
-// 256-slot calendar wheel. Below it, safe windows rarely hold more than
-// one event and the barrier is pure overhead, so Auto runs serially.
-const AutoMinLookahead = 1.0 / 256
-
-// AutoMultiLinks is the graph size (directed links) at which the async
-// engine's Auto mode considers a worker pool at all.
-const AutoMultiLinks = 4096
-
-// AutoMultiNodes is the graph size at which the lockstep runner's Auto
-// mode switches to its worker pool: below it, per-pulse pool coordination
-// dominates the tiny handler steps.
-const AutoMultiNodes = 2048
-
-// AutoHugeLinks is the graph size (directed links) past which Auto mode
-// treats the graph as huge: with millions of concurrent link timers even a
-// lookahead far below AutoMinLookahead packs thousands of events into each
-// safe window, so the windowed executor amortizes its barriers and the
-// serial heap discipline becomes the bottleneck.
-const AutoHugeLinks = 1 << 21
-
-// AutoHugeEventsPerWindow is the expected-events-per-safe-window level
-// (lookahead × links, with per-link delays in (0, 1]) a huge graph must
-// reach for Auto to engage the windowed executor below AutoMinLookahead.
-const AutoHugeEventsPerWindow = 4096
-
-// DefaultWorkers is the worker-pool size when the caller does not choose:
-// every available CPU, capped at MaxWorkers.
-func DefaultWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > MaxWorkers {
-		w = MaxWorkers
-	}
-	return w
-}
-
-// ValidateWorkers rejects non-positive explicit worker counts. The engine
-// name prefixes the panic so the failure reads like the engine's own.
-func ValidateWorkers(engine string, k int) {
-	if k < 1 {
-		panic(fmt.Sprintf("%s: worker count %d < 1", engine, k))
-	}
-}
-
-// AutoWorkers is the worker count Auto-mode decisions reason with: the
-// configured pool clamped to GOMAXPROCS. An explicitly forced parallel
-// mode keeps its configured (possibly oversubscribed) pool — tests rely on
-// forcing 4 workers on 1 CPU — but Auto never volunteers more workers than
-// there are CPUs to run them.
-func AutoWorkers(configured int) int {
-	if p := runtime.GOMAXPROCS(0); configured > p {
-		return p
-	}
-	return configured
-}
-
-// AsyncChoice is the async engine's Auto-mode decision.
+// AsyncChoice names the async engine's in-process executor.
 type AsyncChoice int
 
 const (
-	// AsyncSerial: pop one event at a time on the calling goroutine.
+	// AsyncSerial: pop one event at a time on the calling goroutine — the
+	// only in-process executor.
 	AsyncSerial AsyncChoice = iota
-	// AsyncWindows: conservative bounded-lag windows on a worker pool.
+	// AsyncWindows is a retained shim that AsyncAuto never returns: the
+	// bounded-lag window executor it named was removed after losing to
+	// serial on the one benchmark workload that ran it. perfbench still
+	// names it.
 	AsyncWindows
 	// AsyncSpec is a retained shim that AsyncAuto never returns: the
 	// speculative executor it named was removed after losing to serial on
@@ -91,35 +29,11 @@ const (
 	AsyncSpec
 )
 
-// AsyncAuto picks the async engine's execution path: the bounded-lag
-// window executor when the graph is big enough, more than one CPU is
-// available, and the adversary's lookahead makes safe windows worth a
-// barrier; serial otherwise. cloneable is ignored — it is a retained shim
-// parameter from the speculative executor, kept because perfbench calls
-// this four-argument form.
-//
-// Huge graphs (AutoHugeLinks and up) get an extra windowed gate: a
-// lookahead below AutoMinLookahead still engages the window executor when
-// lookahead × links promises at least AutoHugeEventsPerWindow events per
-// window — at that scale the per-window population, not the per-link
-// lookahead, is what pays for the barrier.
+// AsyncAuto is a retained shim for perfbench, which reports its answer as
+// the executor a workload runs under: it always returns AsyncSerial, the
+// engine's only in-process executor. Its arguments are ignored.
 func AsyncAuto(workers, links int, lookahead float64, cloneable bool) AsyncChoice {
-	if AutoWorkers(workers) <= 1 || links < AutoMultiLinks {
-		return AsyncSerial
-	}
-	if lookahead >= AutoMinLookahead {
-		return AsyncWindows
-	}
-	if links >= AutoHugeLinks && lookahead*float64(links) >= AutoHugeEventsPerWindow {
-		return AsyncWindows
-	}
 	return AsyncSerial
-}
-
-// LockstepMulti reports whether the lockstep runner's Auto mode should use
-// its worker pool for a graph of n nodes.
-func LockstepMulti(workers, nodes int) bool {
-	return AutoWorkers(workers) > 1 && nodes >= AutoMultiNodes
 }
 
 // MaxShards caps multi-process sharded runs: each shard is a whole OS
@@ -128,7 +42,7 @@ func LockstepMulti(workers, nodes int) bool {
 // outgrows the marginal process on the graphs that fit one machine.
 const MaxShards = 8
 
-// AutoShardLinks is the graph size (directed links) at which Auto-mode
+// AutoShardLinks is the graph size (directed links) at which automatic
 // sharding engages at all: below ~4M links a single in-process engine
 // wins outright. On the million-node smoke graph (~5.9M links, just
 // past the gate) the whole multi-process protocol costs ~1% at K=2 and

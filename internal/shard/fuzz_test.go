@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/async"
@@ -88,6 +91,51 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 			if ta.Live() != 0 {
 				t.Fatalf("failed decode leaked %d segments", ta.Live())
 			}
+		}
+	})
+}
+
+// FuzzOpenShardSnapshot holds the checkpoint-file preamble to "an error,
+// or a header plus frames that re-seal to the same bytes — never a
+// panic". The fuzzer mutates the sealed container's payload (the header
+// JSON and the length-prefixed frames) and the target seals it, so the
+// checksum never shields the parser.
+func FuzzOpenShardSnapshot(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "ckpt.bin")
+	if _, err := Run(Config{GraphSpec: "grid:6x6", Workload: "flood", Adversary: "random:7",
+		Shards: 2, SnapshotEvery: 40, SnapshotPath: path}); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := openShardSnapshot(data); err != nil {
+		f.Fatalf("a real checkpoint is rejected: %v", err)
+	}
+	real, err := wire.OpenSnapshot(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	// A frame count no payload can hold: it must be an error, not a
+	// makeslice panic.
+	hb := []byte(`{"GraphSpec":"grid:2x2","Adversary":"fixed:1","Faults":"","Workload":"flood","Sources":null,"SegWords":0,"KeepTrace":false,"Shards":4611686018427387904,"NextSeq":0,"Steps":0}`)
+	f.Add(append(appendU32(nil, uint32(len(hb))), hb...))
+	f.Add([]byte{})
+	f.Add(appendU32(nil, 1<<31))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		sealed := wire.SealSnapshot(payload)
+		hdr, frames, err := openShardSnapshot(sealed)
+		if err != nil {
+			return
+		}
+		again, err := sealShardSnapshot(hdr, frames)
+		if err != nil {
+			t.Fatalf("accepted header does not re-marshal: %v", err)
+		}
+		if !bytes.Equal(again, sealed) {
+			t.Fatalf("accepted checkpoint re-seals to different bytes:\n got %x\nwant %x", again, sealed)
 		}
 	})
 }

@@ -132,7 +132,7 @@ type reader struct {
 }
 
 func (r *reader) take(n int) []byte {
-	if r.bad || r.off+n > len(r.b) {
+	if r.bad || n < 0 || n > len(r.b)-r.off {
 		r.bad = true
 		return nil
 	}

@@ -40,7 +40,7 @@ func serialRun(t testing.TB, cfg Config) async.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := async.New(g, adv, mk).WithMode(async.ModeSingle)
+	sim := async.New(g, adv, mk)
 	if cfg.KeepTrace {
 		sim.KeepTrace()
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -66,7 +67,10 @@ func sealShardSnapshot(hdr *snapHeader, frames [][]byte) ([]byte, error) {
 }
 
 // openShardSnapshot parses a sealed checkpoint into its header and the
-// per-shard engine frames.
+// per-shard engine frames. The parse is exact: an accepted file re-seals
+// to the same bytes. The header must be in the form sealShardSnapshot
+// writes, and the frame count must fit the payload before anything is
+// allocated for it.
 func openShardSnapshot(data []byte) (*snapHeader, [][]byte, error) {
 	payload, err := wire.OpenSnapshot(data)
 	if err != nil {
@@ -81,8 +85,12 @@ func openShardSnapshot(data []byte) (*snapHeader, [][]byte, error) {
 	if err := json.Unmarshal(hb, &hdr); err != nil {
 		return nil, nil, fmt.Errorf("shard: bad snapshot header: %v", err)
 	}
-	if hdr.Shards < 1 {
-		return nil, nil, fmt.Errorf("shard: snapshot of %d shards", hdr.Shards)
+	if canon, err := json.Marshal(&hdr); err != nil || !bytes.Equal(canon, hb) {
+		return nil, nil, fmt.Errorf("shard: snapshot header is not in canonical form")
+	}
+	// Every frame carries at least its 4-byte length.
+	if hdr.Shards < 1 || hdr.Shards > (len(rd.b)-rd.off)/4 {
+		return nil, nil, fmt.Errorf("shard: snapshot of %d shards in %d payload bytes", hdr.Shards, len(rd.b)-rd.off)
 	}
 	frames := make([][]byte, hdr.Shards)
 	for i := range frames {

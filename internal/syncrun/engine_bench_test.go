@@ -34,16 +34,12 @@ func (h *benchBFS) Pulse(n API, p int, recvd []Incoming) {
 	}
 }
 
-func benchLockstep(b *testing.B, g *graph.Graph, cfg func(*Runner)) {
+func benchLockstep(b *testing.B, g *graph.Graph) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := New(g, func(graph.NodeID) Handler { return &benchBFS{} })
-		if cfg != nil {
-			cfg(r)
-		}
-		res := r.Run()
+		res := New(g, func(graph.NodeID) Handler { return &benchBFS{} }).Run()
 		if res.M != uint64(2*g.M()) {
 			b.Fatalf("M = %d, want %d", res.M, 2*g.M())
 		}
@@ -55,27 +51,10 @@ func benchLockstep(b *testing.B, g *graph.Graph, cfg func(*Runner)) {
 // runner — activation bookkeeping, inbox delivery, CONGEST guard — via a
 // BFS whose pulse count is the grid diameter.
 func BenchmarkLockstepPulse(b *testing.B) {
-	benchLockstep(b, graph.Grid(30, 30), nil)
+	benchLockstep(b, graph.Grid(30, 30))
 }
 
-// BenchmarkLockstepPulseMulti is the same workload on the worker pool with
-// the fan-out threshold forced low, measuring parallel-mode overhead on a
-// moderate graph (the pool pays off at larger scale; results are
-// byte-identical either way).
-func BenchmarkLockstepPulseMulti(b *testing.B) {
-	benchLockstep(b, graph.Grid(30, 30), func(r *Runner) {
-		r.WithMode(ModeMulti).WithMinParallel(1)
-	})
-}
-
-// BenchmarkLockstepPulseLarge runs BFS on a 160k-edge random graph in both
-// modes, the scale ModeAuto targets.
+// BenchmarkLockstepPulseLarge runs BFS on a 160k-edge random graph.
 func BenchmarkLockstepPulseLarge(b *testing.B) {
-	g := graph.RandomConnected(40000, 160000, 9)
-	b.Run("single", func(b *testing.B) {
-		benchLockstep(b, g, func(r *Runner) { r.WithMode(ModeSingle) })
-	})
-	b.Run("multi", func(b *testing.B) {
-		benchLockstep(b, g, func(r *Runner) { r.WithMode(ModeMulti) })
-	})
+	benchLockstep(b, graph.RandomConnected(40000, 160000, 9))
 }

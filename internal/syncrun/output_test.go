@@ -52,7 +52,7 @@ func TestDenseOutputs(t *testing.T) {
 	res := New(g, func(graph.NodeID) Handler { return typedOutAlgo{} }).
 		WithDenseOutputs().Run()
 	if len(res.Outputs) != 1 || res.Outputs[0] != "root" {
-		t.Fatalf("dense-mode map = %v, want only the legacy escape", res.Outputs)
+		t.Fatalf("dense map = %v, want only the legacy escape", res.Outputs)
 	}
 	for v := 1; v <= 3; v++ {
 		if !res.OutSet[v] {
@@ -67,14 +67,26 @@ func TestDenseOutputs(t *testing.T) {
 	}
 }
 
-// TestDenseOutputsModeIdentical pins dense-output equality across the
-// lockstep execution modes.
+// TestDenseOutputsModeIdentical pins the two output modes to each other:
+// the dense OutBodies/OutSet pair decodes to exactly the default mode's
+// Outputs map, and every other Result field agrees.
 func TestDenseOutputsModeIdentical(t *testing.T) {
 	g := graph.RandomConnected(300, 700, 3)
 	mk := func(graph.NodeID) Handler { return typedOutAlgo{} }
-	single := New(g, mk).WithMode(ModeSingle).WithDenseOutputs().Run()
-	multi := New(g, mk).WithMode(ModeMulti).WithMinParallel(1).WithDenseOutputs().Run()
-	if !reflect.DeepEqual(single, multi) {
-		t.Fatal("dense results differ across modes")
+	plain := New(g, mk).KeepTrace().Run()
+	dense := New(g, mk).KeepTrace().WithDenseOutputs().Run()
+	if plain.T != dense.T || plain.Rounds != dense.Rounds || plain.M != dense.M ||
+		!reflect.DeepEqual(plain.Trace, dense.Trace) {
+		t.Fatalf("dense mode changed the run: T %d/%d Rounds %d/%d M %d/%d",
+			plain.T, dense.T, plain.Rounds, dense.Rounds, plain.M, dense.M)
+	}
+	got := make(map[graph.NodeID]any)
+	for v, has := range dense.OutSet {
+		if has {
+			got[graph.NodeID(v)] = outval.DecodeSlot(dense.OutBodies[v], dense.Outputs[graph.NodeID(v)])
+		}
+	}
+	if !reflect.DeepEqual(got, plain.Outputs) {
+		t.Fatal("dense outputs decode to a different map than the default mode")
 	}
 }

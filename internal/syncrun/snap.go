@@ -13,8 +13,8 @@ import (
 // clock, message and output accounting, every handler's protocol state via
 // its wire.StateCodec, the next pulse's pending deliveries and activation
 // set, and the trace — so restoring it into a Runner built over the same
-// graph and handler constructor continues the run with byte-identical
-// Results in every execution mode.
+// graph and handler constructor continues the run with a byte-identical
+// Result.
 //
 // The CONGEST guard (sentAt) deliberately stays out of the frame: its
 // stamps are pulse+1 values compared for equality only, and the pulse
@@ -39,7 +39,7 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	e.Bool(r.done)
 
 	// Nodes: output slot plus handler state, in index order.
-	outB, outA := r.loadedOutBodies(), r.loadedOutAnys()
+	outB, outA := r.outBodies, r.outAnys
 	for i := 0; i < r.g.N(); i++ {
 		e.Bool(r.hasOut[i])
 		if r.hasOut[i] {
@@ -146,7 +146,7 @@ func (r *Runner) Restore(data []byte) error {
 				break
 			}
 			r.hasOut[i] = true
-			r.outBodies()[i] = b
+			r.bodySlab()[i] = b
 		}
 		sc, ok := r.handlers[i].(wire.StateCodec)
 		if !ok {
@@ -222,10 +222,8 @@ func (r *Runner) restoreFailed() {
 	for i := range r.hasOut {
 		r.hasOut[i] = false
 	}
-	if outB := r.loadedOutBodies(); outB != nil {
-		for i := range outB {
-			outB[i] = wire.Body{}
-		}
+	for i := range r.outBodies {
+		r.outBodies[i] = wire.Body{}
 	}
 	r.trace = r.trace[:0]
 	r.nxt.refill()
@@ -242,9 +240,9 @@ func (r *Runner) restoreFailed() {
 // calls to checkpoint at any pulse, then FinishResult once it returns
 // false.
 func (r *Runner) RunPulses(n int) bool {
-	mode := r.start()
+	r.start()
 	for ; n > 0; n-- {
-		if !r.stepPulse(mode) {
+		if !r.stepPulse() {
 			return false
 		}
 	}

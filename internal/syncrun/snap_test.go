@@ -44,8 +44,7 @@ func mkCodecBFS(graph.NodeID) Handler { return &codecBFS{src: 0} }
 
 // TestLockstepSnapshotMatrix is the lockstep half of the round-trip
 // invariant: snapshot after every pulse, restore into a fresh runner,
-// finish in each execution mode — byte-identical to the uninterrupted run
-// on every graph.
+// finish — byte-identical to the uninterrupted run on every graph.
 func TestLockstepSnapshotMatrix(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -56,7 +55,7 @@ func TestLockstepSnapshotMatrix(t *testing.T) {
 		{"er", graph.RandomConnected(50, 130, 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := New(tc.g, mkCodecBFS).KeepTrace().WithMode(ModeSingle).Run()
+			ref := New(tc.g, mkCodecBFS).KeepTrace().Run()
 			for k := 0; ; k++ {
 				a := New(tc.g, mkCodecBFS).KeepTrace()
 				active := a.RunPulses(k)
@@ -64,15 +63,12 @@ func TestLockstepSnapshotMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("snapshot at pulse %d: %v", k, err)
 				}
-				for _, mode := range []ExecutionMode{ModeSingle, ModeMulti} {
-					b := New(tc.g, mkCodecBFS).KeepTrace()
-					if err := b.Restore(snap); err != nil {
-						t.Fatalf("restore at pulse %d: %v", k, err)
-					}
-					res := b.WithMode(mode).Run()
-					if !reflect.DeepEqual(res, ref) {
-						t.Fatalf("snapshot at pulse %d resumed in %s diverged from uninterrupted run", k, mode)
-					}
+				b := New(tc.g, mkCodecBFS).KeepTrace()
+				if err := b.Restore(snap); err != nil {
+					t.Fatalf("restore at pulse %d: %v", k, err)
+				}
+				if res := b.Run(); !reflect.DeepEqual(res, ref) {
+					t.Fatalf("snapshot at pulse %d diverged from uninterrupted run", k)
 				}
 				if !active {
 					break

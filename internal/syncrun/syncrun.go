@@ -21,22 +21,14 @@
 // nodes step in ascending index order and each sends at most once per
 // neighbor, every receiver's chain is sorted by sender by construction.
 //
-// Runner supports three execution modes. Single steps the activation set
-// on one goroutine. Multi shards it across a worker pool; each worker
-// buffers its sends and outputs, and the buffers merge in shard order
-// after a barrier, which reproduces Single's send order exactly — Result
-// (outputs, T, M, trace) is byte-identical across modes. Auto picks Multi
-// for graphs large enough to amortize the pool.
+// The Runner steps each pulse's activation set on the calling goroutine.
 package syncrun
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/execpolicy"
 	"repro/internal/graph"
 	"repro/internal/outval"
 	"repro/internal/wire"
@@ -85,8 +77,8 @@ type API interface {
 // Handler is an event-driven synchronous node program. One Handler
 // instance exists per node and owns that node's state. Handlers on
 // different nodes must not share mutable state (shared read-only data is
-// fine): under ModeMulti — which ModeAuto selects for large graphs —
-// different nodes' Pulse calls run concurrently on a worker pool.
+// fine): the synchronizer runs each node's handler inside its own
+// simulated node, and a sharded run places nodes in different processes.
 type Handler interface {
 	// Init runs at pulse 0. Initiator nodes send their first messages here.
 	Init(n API)
@@ -97,41 +89,10 @@ type Handler interface {
 	Pulse(n API, p int, recvd []Incoming)
 }
 
-// ExecutionMode selects how the Runner steps each pulse's activation set.
-// Results are byte-identical across modes; the choice is purely about
-// wall-clock performance.
-type ExecutionMode int
-
-const (
-	// ModeAuto picks ModeMulti when the graph is large enough to amortize
-	// the worker pool and more than one CPU is available, else ModeSingle.
-	ModeAuto ExecutionMode = iota
-	// ModeSingle steps active nodes sequentially on the calling goroutine.
-	ModeSingle
-	// ModeMulti shards the activation set across a worker pool with
-	// per-worker send buffers merged deterministically.
-	ModeMulti
-)
-
-func (m ExecutionMode) String() string {
-	switch m {
-	case ModeAuto:
-		return "auto"
-	case ModeSingle:
-		return "single"
-	case ModeMulti:
-		return "multi"
-	}
-	return fmt.Sprintf("ExecutionMode(%d)", int(m))
-}
-
-// Node is the Runner's API implementation. It is 16 bytes: effects route
-// through a sink index — 0 applies immediately to the Runner, k+1 buffers
-// in worker sink k — resolved per call instead of held as a pointer.
+// Node is the Runner's API implementation.
 type Node struct {
-	id      graph.NodeID
-	sinkIdx int32 // set per step; 0 = direct, k+1 = workerSinks[k]
-	run     *Runner
+	id  graph.NodeID
+	run *Runner
 }
 
 var _ API = (*Node)(nil)
@@ -160,12 +121,7 @@ func (n *Node) Send(to graph.NodeID, body wire.Body) {
 		panic(fmt.Sprintf("syncrun: node %d sent twice to %d in one pulse", n.id, to))
 	}
 	r.sentAt[l] = stamp
-	if n.sinkIdx == 0 {
-		r.record(n.id, to, body)
-		return
-	}
-	sink := &r.workerSinks[n.sinkIdx-1]
-	sink.sends = append(sink.sends, pendingSend{from: n.id, to: to, body: body})
+	r.record(n.id, to, body)
 }
 
 // Output records this node's final output.
@@ -175,10 +131,13 @@ func (n *Node) Output(v any) {
 		return
 	}
 	r := n.run
-	if outB := r.loadedOutBodies(); outB != nil {
-		outB[n.id] = wire.Body{}
+	if r.outBodies != nil {
+		r.outBodies[n.id] = wire.Body{}
 	}
-	r.outAnys()[n.id] = v
+	if r.outAnys == nil {
+		r.outAnys = make([]any, r.g.N())
+	}
+	r.outAnys[n.id] = v
 	n.noteOutput()
 }
 
@@ -188,37 +147,29 @@ func (n *Node) OutputBody(b wire.Body) {
 		panic(fmt.Sprintf("syncrun: node %d output a Body with zero Kind", n.id))
 	}
 	r := n.run
-	r.outBodies()[n.id] = b
-	if outA := r.loadedOutAnys(); outA != nil {
-		outA[n.id] = nil
+	r.bodySlab()[n.id] = b
+	if r.outAnys != nil {
+		r.outAnys[n.id] = nil
 	}
 	n.noteOutput()
 }
 
-// noteOutput updates the first-output bookkeeping (T clock, activation of
-// the worker sink's new-output flag).
+// noteOutput updates the first-output bookkeeping (the T clock).
 func (n *Node) noteOutput() {
 	r := n.run
-	had := r.hasOut[n.id]
-	r.hasOut[n.id] = true
-	if had {
-		return
-	}
-	if n.sinkIdx == 0 {
+	if !r.hasOut[n.id] {
+		r.hasOut[n.id] = true
 		if r.pulse > r.lastOut {
 			r.lastOut = r.pulse
 		}
-		return
 	}
-	r.workerSinks[n.sinkIdx-1].newOut = true
 }
 
 // HasOutput reports whether this node already produced output.
 func (n *Node) HasOutput() bool { return n.run.hasOut[n.id] }
 
 // Arena returns the run's segment arena. Sent segments are recycled after
-// the receiving pulse's batch is delivered; the arena is safe for the
-// Multi-mode worker pool.
+// the receiving pulse's batch is delivered.
 func (n *Node) Arena() *wire.Arena { return &n.run.arena }
 
 // TraceEntry records one message for trace-equivalence checking against the
@@ -248,23 +199,6 @@ type Result struct {
 	OutSet    []bool
 	// Trace lists every message with its pulse (in deterministic order).
 	Trace []TraceEntry
-}
-
-// pendingSend is one buffered worker-mode send, applied at merge time.
-type pendingSend struct {
-	from, to graph.NodeID
-	body     wire.Body
-}
-
-// sendSink is one worker's effect buffer: sends accumulate in call order
-// and newOut records whether any node produced its first output, both
-// drained deterministically after the pulse barrier. scratch is the
-// worker's reusable batch-materialization buffer (serial stepping uses the
-// Runner's own scratch instead).
-type sendSink struct {
-	sends   []pendingSend
-	newOut  bool
-	scratch []Incoming
 }
 
 // pendMsg is one pending delivery in a pulse buffer's flat pool, threaded
@@ -355,10 +289,6 @@ type Runner struct {
 	handlers []Handler
 	nodes    []Node
 
-	mode        ExecutionMode
-	workers     int
-	minParallel int
-
 	pulse int
 	cur   pulseBuf // being processed this pulse
 	nxt   pulseBuf // being filled for next pulse
@@ -376,13 +306,10 @@ type Runner struct {
 
 	// Outputs: typed bodies (Kind != 0) with a boxed escape hatch for
 	// values outval cannot encode (body zero, value in the any slab).
-	// Both value slabs are lazy — allocated on the first output of the
-	// respective kind, published via atomic pointer so concurrent worker
-	// Pulses agree on the slab before writing their own (disjoint) slots.
-	// Only the 1-byte hasOut column is eager.
-	outBodyP  atomic.Pointer[[]wire.Body]
-	outAnyP   atomic.Pointer[[]any]
-	outMu     sync.Mutex
+	// Both value slabs are lazy — nil until the first output of the
+	// respective kind. Only the 1-byte hasOut column is eager.
+	outBodies []wire.Body
+	outAnys   []any
 	hasOut    []bool
 	denseOut  bool
 	lastOut   int
@@ -391,14 +318,8 @@ type Runner struct {
 	maxRounds int
 	keepTrace bool
 
-	// scratch is the serial-mode batch-materialization buffer (each
-	// worker sink carries its own).
+	// scratch is the reusable batch-materialization buffer.
 	scratch []Incoming
-
-	// Multi-mode scratch, allocated on first parallel pulse.
-	activeIDs    []graph.NodeID
-	workerSinks  []sendSink
-	workerPanics []any
 
 	// arena backs Body.Seg segments; delivered segments return to it after
 	// the receiving pulse's batch is processed.
@@ -415,13 +336,11 @@ func New(g *graph.Graph, mk func(id graph.NodeID) Handler) *Runner {
 		nodes:    make([]Node, g.N()),
 		// cur's epoch trails nxt's by one; each refill bumps past every
 		// stamp the buffer has ever written, so stale cursors never match.
-		cur:         newPulseBuf(g.N(), 0),
-		nxt:         newPulseBuf(g.N(), 1),
-		sentAt:      make([]int32, g.Links()),
-		hasOut:      make([]bool, g.N()),
-		maxRounds:   1 << 22,
-		workers:     execpolicy.DefaultWorkers(),
-		minParallel: defaultMinParallel,
+		cur:       newPulseBuf(g.N(), 0),
+		nxt:       newPulseBuf(g.N(), 1),
+		sentAt:    make([]int32, g.Links()),
+		hasOut:    make([]bool, g.N()),
+		maxRounds: 1 << 22,
 	}
 	for i := 0; i < g.N(); i++ {
 		id := graph.NodeID(i)
@@ -430,10 +349,6 @@ func New(g *graph.Graph, mk func(id graph.NodeID) Handler) *Runner {
 	}
 	return r
 }
-
-// defaultMinParallel is the smallest activation set Multi mode fans out;
-// smaller sets step inline (results are identical either way).
-const defaultMinParallel = 128
 
 // KeepTrace enables message-trace recording (used by equivalence tests).
 func (r *Runner) KeepTrace() *Runner { r.keepTrace = true; return r }
@@ -444,106 +359,31 @@ func (r *Runner) KeepTrace() *Runner { r.keepTrace = true; return r }
 // outval.Decode; non-encodable legacy outputs still surface in the map.
 func (r *Runner) WithDenseOutputs() *Runner { r.denseOut = true; return r }
 
-// WithMode selects the execution mode (default ModeAuto).
-func (r *Runner) WithMode(m ExecutionMode) *Runner { r.mode = m; return r }
-
-// WithWorkers caps the Multi-mode worker pool (default GOMAXPROCS, capped
-// by execpolicy.MaxWorkers). ModeAuto additionally clamps the pool to
-// GOMAXPROCS; a forced ModeMulti keeps an oversubscribed count (tests
-// force several workers on 1 CPU to exercise the concurrent path).
-func (r *Runner) WithWorkers(k int) *Runner {
-	execpolicy.ValidateWorkers("syncrun", k)
-	r.workers = k
-	return r
-}
-
-// WithMinParallel sets the smallest activation set Multi mode fans out to
-// the pool (default 128); smaller sets step inline. Tests and benchmarks
-// lower it to force the parallel path on small graphs — results are
-// byte-identical regardless.
-func (r *Runner) WithMinParallel(k int) *Runner {
-	if k < 1 {
-		panic(fmt.Sprintf("syncrun: parallel threshold %d < 1", k))
-	}
-	r.minParallel = k
-	return r
-}
-
 // SetMaxRounds caps the number of rounds; exceeding it panics.
 func (r *Runner) SetMaxRounds(limit int) { r.maxRounds = limit }
 
 // Handler returns node v's handler for post-run inspection.
 func (r *Runner) Handler(v graph.NodeID) Handler { return r.handlers[v] }
 
-// outBodies returns the typed-output slab, allocating and publishing it on
-// first use. Workers write only their own nodes' slots; the atomic pointer
-// publication orders the allocation before any cross-worker read.
-func (r *Runner) outBodies() []wire.Body {
-	if p := r.outBodyP.Load(); p != nil {
-		return *p
+// bodySlab returns the typed-output slab, allocating it on first use.
+func (r *Runner) bodySlab() []wire.Body {
+	if r.outBodies == nil {
+		r.outBodies = make([]wire.Body, r.g.N())
 	}
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	if p := r.outBodyP.Load(); p != nil {
-		return *p
-	}
-	sl := make([]wire.Body, r.g.N())
-	r.outBodyP.Store(&sl)
-	return sl
-}
-
-// outAnys is outBodies' counterpart for the boxed escape slab.
-func (r *Runner) outAnys() []any {
-	if p := r.outAnyP.Load(); p != nil {
-		return *p
-	}
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	if p := r.outAnyP.Load(); p != nil {
-		return *p
-	}
-	sl := make([]any, r.g.N())
-	r.outAnyP.Store(&sl)
-	return sl
-}
-
-// loadedOutBodies returns the typed-output slab or nil if no typed output
-// has ever been recorded (readers treat nil as all-zero).
-func (r *Runner) loadedOutBodies() []wire.Body {
-	if p := r.outBodyP.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// loadedOutAnys is loadedOutBodies' counterpart for the boxed slab.
-func (r *Runner) loadedOutAnys() []any {
-	if p := r.outAnyP.Load(); p != nil {
-		return *p
-	}
-	return nil
+	return r.outBodies
 }
 
 // Run executes to quiescence and returns measurements.
 func (r *Runner) Run() Result {
-	mode := r.start()
-	for r.stepPulse(mode) {
+	r.start()
+	for r.stepPulse() {
 	}
 	return r.finish()
 }
 
-// start resolves the execution mode and runs pulse 0 (Init) on the first
-// call — unless the runner resumed from a snapshot, whose pulse 0 already
-// happened in the interrupted run.
-func (r *Runner) start() ExecutionMode {
-	mode := r.mode
-	if mode == ModeAuto {
-		if execpolicy.LockstepMulti(r.workers, r.g.N()) {
-			mode = ModeMulti
-		} else {
-			mode = ModeSingle
-		}
-	}
+// start runs pulse 0 (Init) on the first call — unless the runner resumed
+// from a snapshot, whose pulse 0 already happened in the interrupted run.
+func (r *Runner) start() {
 	if !r.started {
 		r.started = true
 		if !r.resumed {
@@ -553,13 +393,12 @@ func (r *Runner) start() ExecutionMode {
 			}
 		}
 	}
-	return mode
 }
 
 // stepPulse advances the clock and executes one pulse, reporting false
 // once the network is quiet (the clock still advances past the final
 // pulse, preserving Rounds = pulse-1).
-func (r *Runner) stepPulse(mode ExecutionMode) bool {
+func (r *Runner) stepPulse() bool {
 	if r.done {
 		return false
 	}
@@ -573,11 +412,7 @@ func (r *Runner) stepPulse(mode ExecutionMode) bool {
 	}
 	r.cur, r.nxt = r.nxt, r.cur
 	r.nxt.refill()
-	if mode == ModeMulti && r.cur.active >= r.minParallel && r.workers > 1 {
-		r.stepParallel()
-	} else {
-		r.stepSerial()
-	}
+	r.stepActive()
 	return true
 }
 
@@ -589,7 +424,7 @@ func (r *Runner) finish() Result {
 		M:      r.msgs,
 		Trace:  r.trace,
 	}
-	outB, outA := r.loadedOutBodies(), r.loadedOutAnys()
+	outB, outA := r.outBodies, r.outAnys
 	if r.denseOut {
 		if outB == nil {
 			outB = make([]wire.Body, r.g.N())
@@ -628,9 +463,9 @@ func (r *Runner) finish() Result {
 	return res
 }
 
-// stepSerial runs one pulse on the calling goroutine, iterating active
-// nodes in index order straight off the bitmap.
-func (r *Runner) stepSerial() {
+// stepActive runs one pulse, iterating active nodes in index order
+// straight off the bitmap.
+func (r *Runner) stepActive() {
 	for w, word := range r.cur.bits {
 		if word == 0 {
 			continue
@@ -640,94 +475,20 @@ func (r *Runner) stepSerial() {
 		for word != 0 {
 			v := graph.NodeID(base + bits.TrailingZeros64(word))
 			word &= word - 1
-			r.stepNode(v, 0)
+			r.stepNode(v)
 		}
 	}
 	r.cur.active = 0
 }
 
-// stepNode materializes node v's batch into its sink's scratch buffer,
-// delivers it, and recycles the batch's segments.
-func (r *Runner) stepNode(v graph.NodeID, sinkIdx int32) {
-	scratchP := &r.scratch
-	if sinkIdx > 0 {
-		scratchP = &r.workerSinks[sinkIdx-1].scratch
-	}
-	batch := r.cur.batch(v, *scratchP)
-	*scratchP = batch
-	n := &r.nodes[v]
-	n.sinkIdx = sinkIdx
-	r.handlers[v].Pulse(n, r.pulse, batch)
-	n.sinkIdx = 0
+// stepNode materializes node v's batch into the scratch buffer, delivers
+// it, and recycles the batch's segments.
+func (r *Runner) stepNode(v graph.NodeID) {
+	batch := r.cur.batch(v, r.scratch)
+	r.scratch = batch
+	r.handlers[v].Pulse(&r.nodes[v], r.pulse, batch)
 	for i := range batch {
 		r.arena.Release(batch[i].Body.Seg) // the batch was the segment's last use
-	}
-}
-
-// stepParallel runs one pulse on the worker pool: contiguous shards of the
-// (index-ordered) activation set step concurrently, buffering their
-// effects; the buffers merge in shard order, reproducing serial order.
-func (r *Runner) stepParallel() {
-	ids := r.activeIDs[:0]
-	for w, word := range r.cur.bits {
-		if word == 0 {
-			continue
-		}
-		r.cur.bits[w] = 0
-		base := w << 6
-		for word != 0 {
-			ids = append(ids, graph.NodeID(base+bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	r.activeIDs = ids
-	r.cur.active = 0
-
-	w := r.workers
-	if w > len(ids) {
-		w = len(ids)
-	}
-	if r.workerSinks == nil || len(r.workerSinks) < w {
-		r.workerSinks = make([]sendSink, r.workers)
-		r.workerPanics = make([]any, r.workers)
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		lo, hi := k*len(ids)/w, (k+1)*len(ids)/w
-		wg.Add(1)
-		go func(k int, shard []graph.NodeID) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					r.workerPanics[k] = p
-				}
-			}()
-			for _, v := range shard {
-				r.stepNode(v, int32(k)+1)
-			}
-		}(k, ids[lo:hi])
-	}
-	wg.Wait()
-	for k := 0; k < w; k++ {
-		if p := r.workerPanics[k]; p != nil {
-			panic(p)
-		}
-	}
-	// Deterministic merge: shards in ascending node order, sends in call
-	// order — exactly the serial application order.
-	for k := 0; k < w; k++ {
-		sink := &r.workerSinks[k]
-		for _, ps := range sink.sends {
-			r.record(ps.from, ps.to, ps.body)
-		}
-		if sink.newOut && r.pulse > r.lastOut {
-			r.lastOut = r.pulse
-		}
-		for i := range sink.sends {
-			sink.sends[i] = pendingSend{}
-		}
-		sink.sends = sink.sends[:0]
-		sink.newOut = false
 	}
 }
 

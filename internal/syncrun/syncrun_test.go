@@ -127,6 +127,70 @@ func TestDoubleSendPanics(t *testing.T) {
 	New(g, func(id graph.NodeID) Handler { return &doubleSender{} }).Run()
 }
 
+// leafChain runs pingPong's send-triggered chain from every leaf of a star
+// at once: each leaf sends to the center at Init and again each time its own
+// send wakes it, three sends in all; the center outputs the pulse at which
+// the last of them arrives.
+type leafChain struct {
+	leaves, sends, got int
+}
+
+func (h *leafChain) Init(n API) {
+	if n.ID() != 0 {
+		n.Send(0, wire.Body{Kind: 1})
+		h.sends = 1
+	}
+}
+
+func (h *leafChain) Pulse(n API, p int, recvd []Incoming) {
+	if n.ID() != 0 {
+		if len(recvd) == 0 && h.sends < 3 {
+			n.Send(0, wire.Body{Kind: 1, A: int64(h.sends)})
+			h.sends++
+		}
+		return
+	}
+	h.got += len(recvd)
+	if h.got == 3*h.leaves {
+		n.Output(p)
+	}
+}
+
+func TestMultiSendTriggeredActivation(t *testing.T) {
+	const k = 40
+	res := New(graph.Star(k+1), func(graph.NodeID) Handler { return &leafChain{leaves: k} }).Run()
+	if res.M != 3*k {
+		t.Fatalf("M = %d, want %d (one send-triggered chain per leaf)", res.M, 3*k)
+	}
+	if res.Outputs[0] != 3 {
+		t.Fatalf("center output %v, want pulse 3", res.Outputs[0])
+	}
+}
+
+// oneDoubleSender: every leaf of a star sends once to the center, which is
+// within capacity, except leaf 7, which sends twice on the same link.
+type oneDoubleSender struct{}
+
+func (h *oneDoubleSender) Init(n API) {
+	if n.ID() == 0 {
+		return
+	}
+	n.Send(0, wire.Tag(1))
+	if n.ID() == 7 {
+		n.Send(0, wire.Tag(2))
+	}
+}
+func (h *oneDoubleSender) Pulse(API, int, []Incoming) {}
+
+func TestMultiDoubleSendPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on one leaf's double send among many senders")
+		}
+	}()
+	New(graph.Star(20), func(graph.NodeID) Handler { return &oneDoubleSender{} }).Run()
+}
+
 type doubleSender struct{}
 
 func (h *doubleSender) Init(n API) {
@@ -136,6 +200,72 @@ func (h *doubleSender) Init(n API) {
 	}
 }
 func (h *doubleSender) Pulse(API, int, []Incoming) {}
+
+// pulseDoubleSender violates CONGEST inside Pulse (not Init); the panic
+// must surface to the caller of Run.
+type pulseDoubleSender struct{}
+
+func (h *pulseDoubleSender) Init(n API) {
+	if n.ID() == 0 {
+		n.Send(1, wire.Tag(1))
+	}
+}
+
+func (h *pulseDoubleSender) Pulse(n API, p int, recvd []Incoming) {
+	if n.ID() == 1 && len(recvd) > 0 {
+		n.Send(0, wire.Tag(1))
+		n.Send(0, wire.Tag(2))
+	}
+}
+
+func TestPulseDoubleSendPanics(t *testing.T) {
+	g := graph.Path(2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on double send inside Pulse")
+		}
+	}()
+	New(g, func(graph.NodeID) Handler { return &pulseDoubleSender{} }).Run()
+}
+
+// sortChecker asserts the order-preserving delivery property that
+// replaced the per-batch sort: every Pulse batch arrives sorted by sender.
+type sortChecker struct {
+	t    *testing.T
+	seen bool
+}
+
+func (h *sortChecker) Init(n API) {
+	// Star center is node 0; leaves all send to it at pulse 1.
+	if n.ID() != 0 {
+		n.Send(0, wire.Body{Kind: 1, A: int64(n.ID())})
+	}
+}
+
+func (h *sortChecker) Pulse(n API, p int, recvd []Incoming) {
+	for i := 1; i < len(recvd); i++ {
+		if recvd[i-1].From >= recvd[i].From {
+			h.t.Errorf("batch not sorted by sender: %v before %v", recvd[i-1].From, recvd[i].From)
+		}
+	}
+	if n.ID() == 0 && len(recvd) > 0 {
+		h.seen = true
+	}
+}
+
+func TestBatchesSortedBySender(t *testing.T) {
+	var center *sortChecker
+	New(graph.Star(200), func(id graph.NodeID) Handler {
+		h := &sortChecker{t: t}
+		if id == 0 {
+			center = h
+		}
+		return h
+	}).Run()
+	if !center.seen {
+		t.Fatal("center received no batch")
+	}
+}
 
 func TestQuiescenceWithNoInitiators(t *testing.T) {
 	g := graph.Path(5)

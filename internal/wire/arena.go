@@ -34,8 +34,7 @@ func (s Seg) IsZero() bool { return s.n == 0 }
 // not be released again or read afterwards — see package wire for the
 // ownership rules the engines enforce.
 //
-// An Arena is safe for concurrent use (the lockstep runner's worker pool
-// allocates from several goroutines). The zero value is ready to use.
+// An Arena is safe for concurrent use. The zero value is ready to use.
 type Arena struct {
 	mu     sync.Mutex
 	chunks [][]int32

@@ -109,9 +109,7 @@ func (b Body) Unframe() (pulse int, inner Body) {
 // Equal reports whether two Bodies carry the same message. Bodies are
 // plain values, so this is field equality; two segment handles are equal
 // exactly when they reference the same arena storage. Note that handle
-// values depend on arena allocation order — identical for serial replays
-// of one execution, but scheduling-dependent when a worker pool allocates
-// concurrently (syncrun ModeMulti) — so cross-run comparisons of
-// seg-carrying Bodies are only meaningful for serially-allocated traffic;
-// compare resolved segment contents otherwise.
+// values depend on arena allocation order — identical for replays of one
+// execution in one process, but re-carved when a shard transport re-homes
+// a segment — so compare resolved segment contents across processes.
 func Equal(a, b Body) bool { return a == b }
